@@ -14,18 +14,18 @@ What is gated, and why
    machine*. The ratio cancels out host speed, so it is the portable proxy
    for "did the DES hot path regress". A drop > --max-drop fails.
 
-2. `sim_exec_ns` (when the e2e configs match): the simulated exec time for
-   a fixed (dataset, scale, walks, seed) is bit-deterministic — it must
-   EQUAL the baseline on any machine. A mismatch means either a
-   determinism bug or an intentional timing-model change; for the latter,
-   refresh the baseline in the same PR (see docs/MODELING.md, "The DES
-   kernel").
+2. `sim_exec_ns` (always): the simulated exec time for a fixed (dataset,
+   scale, walks, seed) is bit-deterministic — it must EQUAL the baseline
+   on any machine. A mismatch means either a determinism bug or an
+   intentional timing-model change; for the latter, refresh the baseline
+   in the same PR with `bench/bench_sim.sh` (see docs/MODELING.md, "The
+   DES kernel").
 
 3. `bucketed_events_per_sec` (only with --absolute): raw throughput is
    only comparable on the machine that produced the baseline, so this
    check is opt-in for local tuning runs; CI uses the speedup gate.
 
-4. `service_mix` (when both reports carry the section): every mix's
+4. `service_mix` (when the baseline carries the section): every mix's
    simulated makespan_ns is deterministic and must EQUAL the baseline
    (same refresh rule as sim_exec_ns), and uniform equal-priority mixes
    must hold the weighted-fair scheduler's <= 2x fairness bound. The
@@ -45,22 +45,27 @@ What is gated, and why
 
 6. `engine_parallel` (same trigger as 5): the full FlashWalker engine at
    1/2/4/8 DES workers. `determinism_ok` (identical sim_exec_ns / hop /
-   walk totals across worker counts) is gated unconditionally — it holds
-   even on a single-core host. The 8-worker walks/sec speedup floor
+   walk totals across worker counts) and `sim_exec_ns` (equal to the
+   baseline) are gated unconditionally — they hold even on a single-core
+   host. The 8-worker walks/sec speedup floor
    (--engine-floor, default 2.5x over the 1-worker run) is gated only
    when `hw_threads >= 8`, like the raw-DES floor.
 
-7. `array_scaling` (multi-SSD array): `determinism_ok` (byte-identical
-   array reports across --sim-threads 1/8 at every device count) is gated
-   unconditionally. The 4-device aggregate walks/sec ratio over the
-   single-device run (--array-floor, default 2.0) is gated only when
-   `hw_threads >= 8`, like the other scaling floors.
+7. `array_scaling` (multi-SSD array): every number in the section is
+   simulated, so all of it is gated on every host. `determinism_ok`
+   (byte-identical array reports across --sim-threads 1/8 at every device
+   count), each point's `exec_ns` and `forwarded_walks`, and
+   `scaling_4dev` must EQUAL the baseline, and `scaling_4dev` (the 4-device
+   aggregate walks/sec over the single-device run) must also clear
+   --array-floor (default 2.84, the ratio the array had when it landed),
+   so a regression cannot be hidden by re-recording the baseline.
 
 8. `board_hub` (same trigger as 5): the shard-audit breakdown of the
    board-shard serial hub — event share, windowed handoff batches,
    cross-shard sends per hop. `determinism_ok` (the audit stream itself
-   identical across 1/2/4/8 workers) is gated unconditionally; the share
-   numbers print as informational trend lines. With --serial-floor N the
+   identical across 1/2/4/8 workers) and the simulated counts (events,
+   cross-shard sends, batches, batched ops — equal to the baseline) are
+   gated unconditionally; the share prints as an informational trend line. With --serial-floor N the
    1-worker concurrent-engine walks/sec is also gated as an absolute
    same-machine floor, so parallel speedup cannot be bought by slowing
    the serial path.
@@ -69,6 +74,13 @@ Missing-section rule: a section the BASELINE carries is a promise — if
 the candidate report lacks it, that is a FAILURE (a silently skipped
 gate), not a skip. Sections absent from both reports are skipped with a
 notice.
+
+Parameter rule: the recorded run parameters (preset, seed, event count;
+each section's dataset, scale, walks, seed) must be identical in both
+reports. Deterministic numbers recorded under different parameters are
+incomparable, so a mismatch FAILS instead of skipping the comparison.
+Record both reports with `bench/bench_sim.sh`, which runs the benches
+with CI's exact flags.
 
 Reports must declare `"schema": "fw-bench-sim/2"`; unknown or missing
 versions are rejected (exit 2) instead of silently parsed.
@@ -96,15 +108,39 @@ def load(path):
     return report
 
 
-def e2e_config(report):
-    e2e = report.get("e2e", {})
-    return (e2e.get("dataset"), e2e.get("scale"), e2e.get("walks"),
-            report.get("seed"))
+# Recorded run parameters per section (None = the report's top level).
+PARAMS = {
+    None: ("preset", "seed", "events"),
+    "e2e": ("dataset", "scale", "walks"),
+    "service_mix": ("dataset", "scale", "seed"),
+    "array_scaling": ("dataset", "walks", "seed"),
+}
 
 
-def mix_config(report):
-    sm = report.get("service_mix", {})
-    return (sm.get("dataset"), sm.get("scale"), sm.get("seed"))
+def check_params(base, cur, failures):
+    """Parameter rule: both reports must record identical run parameters.
+    A section missing from either side is left to the missing-section
+    rule."""
+    for section, keys in PARAMS.items():
+        b = base if section is None else base.get(section)
+        c = cur if section is None else cur.get(section)
+        if b is None or c is None:
+            continue
+        for key in keys:
+            name = key if section is None else f"{section}.{key}"
+            if b.get(key) != c.get(key):
+                print(f"params.{name}: baseline {b.get(key)!r}  current "
+                      f"{c.get(key)!r}  [MISMATCH]")
+                failures.append(f"params.{name}")
+
+
+def gate_equal(label, base_v, cur_v, failures, key=None):
+    """Exact gate for a simulated (deterministic) number; a mismatch is
+    recorded as `key` (default: the printed label)."""
+    verdict = "ok" if base_v == cur_v else "MISMATCH"
+    print(f"{label}: baseline {base_v}  current {cur_v}  [{verdict}]")
+    if base_v != cur_v:
+        failures.append(key or label)
 
 
 def section_or_fail(name, base, cur, failures):
@@ -127,10 +163,6 @@ def check_service_mix(base, cur, failures):
     if section_or_fail("service_mix", base, cur, failures) is None:
         return
     cur_mixes = {m["name"]: m for m in cur["service_mix"].get("mixes", [])}
-    configs_match = mix_config(base) == mix_config(cur)
-    if not configs_match:
-        print(f"service_mix: configs differ ({mix_config(base)} vs "
-              f"{mix_config(cur)}), makespan determinism check skipped")
     for bm in base["service_mix"].get("mixes", []):
         name = bm["name"]
         cm = cur_mixes.get(name)
@@ -138,13 +170,9 @@ def check_service_mix(base, cur, failures):
             print(f"service_mix[{name}]: missing from current report [MISSING]")
             failures.append(f"service_mix.{name}")
             continue
-        if configs_match:
-            b_ns, c_ns = bm["makespan_ns"], cm["makespan_ns"]
-            verdict = "ok" if b_ns == c_ns else "MISMATCH"
-            print(f"service_mix[{name}].makespan_ns: baseline {b_ns}  "
-                  f"current {c_ns}  [{verdict}]")
-            if b_ns != c_ns:
-                failures.append(f"service_mix.{name}.makespan_ns")
+        gate_equal(f"service_mix[{name}].makespan_ns", bm["makespan_ns"],
+                   cm["makespan_ns"], failures,
+                   key=f"service_mix.{name}.makespan_ns")
         if cm.get("uniform"):
             ratio = cm["fairness_ratio"]
             verdict = "ok" if ratio <= FAIRNESS_BOUND else "UNFAIR"
@@ -152,10 +180,10 @@ def check_service_mix(base, cur, failures):
                   f"(bound {FAIRNESS_BOUND}) [{verdict}]")
             if ratio > FAIRNESS_BOUND:
                 failures.append(f"service_mix.{name}.fairness_ratio")
-    check_models(base, cur, configs_match, failures)
+    check_models(base, cur, failures)
 
 
-def check_models(base, cur, configs_match, failures):
+def check_models(base, cur, failures):
     """Gate the per-model block inside service_mix: every model the bench
     ran must be deterministic across DES worker counts (gated always, new
     models included), and the legacy (pre-plugin, byte-identity-pinned)
@@ -180,13 +208,10 @@ def check_models(base, cur, configs_match, failures):
                   "[MISSING]")
             failures.append(f"service_mix.models.{name}")
             continue
-        if bm.get("legacy") and configs_match:
-            b_ns, c_ns = bm["makespan_ns"], cm["makespan_ns"]
-            verdict = "ok" if b_ns == c_ns else "MISMATCH"
-            print(f"service_mix.models[{name}].makespan_ns: baseline {b_ns}  "
-                  f"current {c_ns}  [{verdict}]")
-            if b_ns != c_ns:
-                failures.append(f"service_mix.models.{name}.makespan_ns")
+        if bm.get("legacy"):
+            gate_equal(f"service_mix.models[{name}].makespan_ns",
+                       bm["makespan_ns"], cm["makespan_ns"], failures,
+                       key=f"service_mix.models.{name}.makespan_ns")
 
 
 def check_parallel(base, cur, floor, failures):
@@ -227,6 +252,9 @@ def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
     print(f"engine_parallel.determinism_ok: {ok}  [{verdict}]")
     if not ok:
         failures.append("engine_parallel.determinism_ok")
+    gate_equal("engine_parallel.sim_exec_ns",
+               base["engine_parallel"].get("sim_exec_ns"), par.get("sim_exec_ns"),
+               failures)
 
     speedup = par.get("speedup_8w", 0.0)
     hw = par.get("hw_threads", 0)
@@ -258,8 +286,8 @@ def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
 
 def check_board_hub(base, cur, failures):
     """Gate the board-hub breakdown: the audit stream must be identical
-    across worker counts (determinism_ok), and the per-hop cross-shard
-    traffic must not regress past the batching win the baseline recorded."""
+    across worker counts (determinism_ok), and its simulated counts (events,
+    cross-shard sends, batches) must equal the baseline."""
     hub = section_or_fail("board_hub", base, cur, failures)
     if hub is None:
         return
@@ -268,6 +296,9 @@ def check_board_hub(base, cur, failures):
     print(f"board_hub.determinism_ok: {ok}  [{verdict}]")
     if not ok:
         failures.append("board_hub.determinism_ok")
+    for key in ("events", "cross_sends", "board_batches", "board_batched_ops"):
+        gate_equal(f"board_hub.{key}", base["board_hub"].get(key), hub.get(key),
+                   failures)
 
     share = hub.get("board_share_ppm", 0)
     print(f"board_hub.board_share_ppm: {share} "
@@ -276,7 +307,9 @@ def check_board_hub(base, cur, failures):
 
 
 def check_array(base, cur, floor, failures):
-    """Gate the multi-SSD array section: hard determinism, conditional scaling."""
+    """Gate the multi-SSD array section. Every number in it is simulated, so
+    all of it is gated on every host: determinism, each point's exec_ns and
+    forwarded_walks, and scaling_4dev exactly, plus the scaling floor."""
     arr = section_or_fail("array_scaling", base, cur, failures)
     if arr is None:
         return
@@ -286,17 +319,26 @@ def check_array(base, cur, floor, failures):
     if not ok:
         failures.append("array_scaling.determinism_ok")
 
+    base_arr = base["array_scaling"]
+    cur_points = {p["devices"]: p for p in arr.get("points", [])}
+    for bp in base_arr.get("points", []):
+        name = f"array_scaling.points[{bp['devices']}dev]"
+        cp = cur_points.get(bp["devices"])
+        if cp is None:
+            print(f"{name}: missing from current report [MISSING]")
+            failures.append(name)
+            continue
+        for key in ("exec_ns", "forwarded_walks"):
+            gate_equal(f"{name}.{key}", bp.get(key), cp.get(key), failures)
+
     scaling = arr.get("scaling_4dev", 0.0)
-    hw = arr.get("hw_threads", 0)
-    if hw >= 8:
-        verdict = "ok" if scaling >= floor else "REGRESSION"
-        print(f"array_scaling.scaling_4dev: {scaling:.3g} (floor {floor}, "
-              f"hw_threads {hw}) [{verdict}]")
-        if scaling < floor:
-            failures.append("array_scaling.scaling_4dev")
-    else:
-        print(f"array_scaling.scaling_4dev: {scaling:.3g} (hw_threads {hw} < 8) "
-              "[informational]")
+    gate_equal("array_scaling.scaling_4dev", base_arr.get("scaling_4dev"),
+               scaling, failures)
+    verdict = "ok" if scaling >= floor else "REGRESSION"
+    print(f"array_scaling.scaling_4dev: {scaling:.3g} (floor {floor}) "
+          f"[{verdict}]")
+    if scaling < floor:
+        failures.append("array_scaling.scaling_4dev.floor")
 
 
 def main():
@@ -315,10 +357,10 @@ def main():
                     help="minimum 8-worker concurrent-engine walks/sec speedup "
                          "over the 1-worker run, gated only on hosts with >= 8 "
                          "hardware threads (default 2.5)")
-    ap.add_argument("--array-floor", type=float, default=2.0,
-                    help="minimum 4-device array walks/sec ratio over the "
-                         "single-device run, gated only on hosts with >= 8 "
-                         "hardware threads (default 2.0)")
+    ap.add_argument("--array-floor", type=float, default=2.84,
+                    help="minimum simulated 4-device array walks/sec ratio "
+                         "over the single-device run, gated on every host "
+                         "(default 2.84)")
     ap.add_argument("--serial-floor", type=float, default=None,
                     help="absolute floor on the 1-worker concurrent-engine "
                          "walks/sec (same-machine runs only, like --absolute); "
@@ -347,20 +389,14 @@ def main():
         print(f"bucketed_events_per_sec: baseline {base['bucketed_events_per_sec']}  "
               f"current {cur['bucketed_events_per_sec']}  [informational]")
 
-    if e2e_config(base) == e2e_config(cur):
-        b_ns, c_ns = base["e2e"]["sim_exec_ns"], cur["e2e"]["sim_exec_ns"]
-        verdict = "ok" if b_ns == c_ns else "MISMATCH"
-        print(f"sim_exec_ns: baseline {b_ns}  current {c_ns}  [{verdict}]")
-        if b_ns != c_ns:
-            failures.append("sim_exec_ns")
-            print("  simulated time diverged for an identical config+seed: either a\n"
-                  "  determinism bug or an intentional model change. If intentional,\n"
-                  "  regenerate the baseline (bench/sim_hotpath --quick --out\n"
-                  "  BENCH_sim.json, then bench/service_mix --merge-into\n"
-                  "  BENCH_sim.json) and commit it with the change.", file=sys.stderr)
-    else:
-        print(f"sim_exec_ns: configs differ ({e2e_config(base)} vs {e2e_config(cur)}), "
-              "determinism check skipped")
+    check_params(base, cur, failures)
+    gate_equal("sim_exec_ns", base["e2e"]["sim_exec_ns"], cur["e2e"]["sim_exec_ns"],
+               failures)
+    if "sim_exec_ns" in failures:
+        print("  simulated time diverged: either a determinism bug or an\n"
+              "  intentional model change. If intentional, regenerate the\n"
+              "  baseline with bench/bench_sim.sh and commit it with the\n"
+              "  change.", file=sys.stderr)
 
     check_service_mix(base, cur, failures)
     check_parallel(base, cur, args.parallel_floor, failures)

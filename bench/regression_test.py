@@ -3,8 +3,10 @@
 
 Runs the checker as a subprocess over synthetic reports, pinning the
 missing-section rule (a gated section present in the baseline but absent
-from the candidate must FAIL, not silently skip) and the array_scaling
-gates (hard determinism, hw_threads-conditional scaling floor).
+from the candidate must FAIL, not silently skip), the parameter rule
+(reports recorded with different walks, scale or preset must FAIL), and
+the array_scaling gates (determinism, exact simulated numbers and the
+scaling floor, on every host).
 """
 
 import json
@@ -31,15 +33,19 @@ def minimal_report(**extra):
     return report
 
 
-def array_section(determinism_ok=True, scaling_4dev=2.5, hw_threads=8):
+def array_section(determinism_ok=True, scaling_4dev=3.0, hw_threads=8,
+                  exec_4dev=1000, walks=50000):
     return {
         "dataset": "TT",
-        "walks": 50000,
+        "walks": walks,
         "seed": 42,
         "hw_threads": hw_threads,
         "determinism_ok": determinism_ok,
         "scaling_4dev": scaling_4dev,
-        "points": [],
+        "points": [
+            {"devices": 1, "exec_ns": 3000, "forwarded_walks": 0},
+            {"devices": 4, "exec_ns": exec_4dev, "forwarded_walks": 77},
+        ],
     }
 
 
@@ -165,26 +171,64 @@ class ArrayScalingTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("array_scaling.determinism_ok", proc.stderr)
 
-    def test_scaling_floor_gated_only_with_8_hw_threads(self):
-        base = minimal_report(array_scaling=array_section())
-        low = minimal_report(
-            array_scaling=array_section(scaling_4dev=1.2, hw_threads=4))
-        proc = run_checker(base, low)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("[informational]", proc.stdout)
-
-        low_hw8 = minimal_report(
-            array_scaling=array_section(scaling_4dev=1.2, hw_threads=8))
-        proc = run_checker(base, low_hw8)
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertIn("array_scaling.scaling_4dev", proc.stderr)
+    def test_scaling_floor_gated_on_every_host(self):
+        # A baseline re-recorded at the regressed value must still fail the
+        # floor, whatever the host's thread count.
+        for hw in (1, 4, 8):
+            with self.subTest(hw_threads=hw):
+                low = minimal_report(array_scaling=array_section(
+                    scaling_4dev=1.2, hw_threads=hw))
+                proc = run_checker(low, low)
+                self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+                self.assertIn("array_scaling.scaling_4dev.floor", proc.stderr)
 
     def test_array_floor_flag_overrides(self):
-        base = minimal_report(array_scaling=array_section())
-        cur = minimal_report(
-            array_scaling=array_section(scaling_4dev=1.2, hw_threads=8))
-        proc = run_checker(base, cur, "--array-floor", "1.0")
+        low = minimal_report(array_scaling=array_section(scaling_4dev=1.2))
+        proc = run_checker(low, low, "--array-floor", "1.0")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_simulated_numbers_gated_exactly(self):
+        base = minimal_report(array_scaling=array_section())
+        for name, cur in [
+            ("array_scaling.points[4dev].exec_ns",
+             array_section(exec_4dev=1001, hw_threads=1)),
+            ("array_scaling.scaling_4dev", array_section(scaling_4dev=3.5)),
+        ]:
+            with self.subTest(name=name):
+                proc = run_checker(base, minimal_report(array_scaling=cur))
+                self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+                self.assertIn(name, proc.stderr)
+
+
+class BoardHubTest(unittest.TestCase):
+    def test_simulated_counts_gated_exactly(self):
+        hub = {"determinism_ok": True, "events": 100, "cross_sends": 10,
+               "board_batches": 5, "board_batched_ops": 8}
+        base = minimal_report(board_hub=hub)
+        cur = minimal_report(board_hub=dict(hub, cross_sends=11))
+        proc = run_checker(base, cur)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("board_hub.cross_sends", proc.stderr)
+
+
+class ParameterRuleTest(unittest.TestCase):
+    def test_differing_parameters_fail(self):
+        base_e2e = minimal_report()["e2e"]
+        for name, base, cur in [
+            ("params.e2e.walks", minimal_report(),
+             minimal_report(e2e=dict(base_e2e, walks=5000))),
+            ("params.e2e.scale", minimal_report(),
+             minimal_report(e2e=dict(base_e2e, scale="small"))),
+            ("params.preset", minimal_report(preset="quick"),
+             minimal_report(preset="full")),
+            ("params.array_scaling.walks",
+             minimal_report(array_scaling=array_section()),
+             minimal_report(array_scaling=array_section(walks=5000))),
+        ]:
+            with self.subTest(name=name):
+                proc = run_checker(base, cur)
+                self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+                self.assertIn(name, proc.stderr)
 
 
 if __name__ == "__main__":

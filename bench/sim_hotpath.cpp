@@ -19,6 +19,7 @@
 //
 // Usage: sim_hotpath [--out FILE] [--events N] [--dataset TT] [--scale
 // test|small|bench] [--walks N] [--seed N] [--quick]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -349,6 +350,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = bench_seed();
   bool parallel = false;
   std::uint64_t par_events = 2'000'000;
+  std::string preset = "full";
   OptionSet opts;
   opts.opt("--out", &out_path, "FILE", "report path (default BENCH_sim.json)");
   opts.opt("--events", &events, "N", "microbench event count");
@@ -365,6 +367,7 @@ int main(int argc, char** argv) {
     scale = "test";
     walks = 5'000;
     par_events = 300'000;
+    preset = "quick";
   });
   opts.parse_or_exit(argc, argv,
                      "DES hot-path benchmark: event-queue + engine throughput");
@@ -379,15 +382,35 @@ int main(int argc, char** argv) {
   measure_events_per_sec<sim::EventQueue>(events / 10, seed, &checksum_bucketed);
   measure_events_per_sec<LegacyEventQueue>(events / 10, seed, &checksum_legacy);
 
-  const double bucketed =
-      measure_events_per_sec<sim::EventQueue>(events, seed, &checksum_bucketed);
-  const double legacy =
-      measure_events_per_sec<LegacyEventQueue>(events, seed, &checksum_legacy);
-  if (checksum_bucketed != checksum_legacy) {
-    std::cerr << "FATAL: queue implementations executed different event sets\n";
-    return 1;
+  // Median of interleaved trials (alternating which queue runs first): a
+  // single sample of the ratio swings by ±30% on a shared host, too much
+  // for the 20%-drop gate regression.py applies to it.
+  constexpr int kQueueTrials = 5;
+  std::vector<double> bucketed_runs, legacy_runs, speedup_runs;
+  for (int t = 0; t < kQueueTrials; ++t) {
+    double b = 0, l = 0;
+    if (t % 2 == 0) {
+      b = measure_events_per_sec<sim::EventQueue>(events, seed, &checksum_bucketed);
+      l = measure_events_per_sec<LegacyEventQueue>(events, seed, &checksum_legacy);
+    } else {
+      l = measure_events_per_sec<LegacyEventQueue>(events, seed, &checksum_legacy);
+      b = measure_events_per_sec<sim::EventQueue>(events, seed, &checksum_bucketed);
+    }
+    if (checksum_bucketed != checksum_legacy) {
+      std::cerr << "FATAL: queue implementations executed different event sets\n";
+      return 1;
+    }
+    bucketed_runs.push_back(b);
+    legacy_runs.push_back(l);
+    speedup_runs.push_back(b / l);
   }
-  const double speedup = bucketed / legacy;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double bucketed = median(bucketed_runs);
+  const double legacy = median(legacy_runs);
+  const double speedup = median(speedup_runs);
 
   std::cout << "\nEvent-queue microbench (" << events << " events, seed " << seed
             << "):\n"
@@ -395,7 +418,8 @@ int main(int argc, char** argv) {
             << " events/s\n"
             << "  legacy heap    : " << static_cast<std::uint64_t>(legacy)
             << " events/s\n"
-            << "  speedup        : " << speedup << "x\n";
+            << "  speedup        : " << speedup << "x (median of " << kQueueTrials
+            << " trials)\n";
 
   // Parallel DES section: serial sharded baseline + 1/2/4/8-worker runs of
   // the identical workload, with a cross-worker-count determinism check.
@@ -501,12 +525,18 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"schema\": \"fw-bench-sim/2\",\n"
+      << "  \"preset\": \"" << preset << "\",\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"events\": " << events << ",\n"
       << "  \"bucketed_events_per_sec\": " << static_cast<std::uint64_t>(bucketed)
       << ",\n"
       << "  \"legacy_events_per_sec\": " << static_cast<std::uint64_t>(legacy) << ",\n"
-      << "  \"queue_speedup\": " << speedup << ",\n";
+      << "  \"queue_speedup\": " << speedup << ",\n"
+      << "  \"queue_speedup_trials\": [";
+  for (std::size_t i = 0; i < speedup_runs.size(); ++i) {
+    out << (i ? ", " : "") << speedup_runs[i];
+  }
+  out << "],\n";
   if (parallel) {
     const double speedup_8w =
         par_runs.back().second.events_per_sec / par_serial.events_per_sec;

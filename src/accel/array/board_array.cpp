@@ -68,12 +68,12 @@ BoardArray::BoardArray(const partition::PartitionedGraph& pg, SimulationConfig c
   walk_bytes_ = rw::walk_bytes(pg.id_bytes()) + max_state_bytes;
 
   // One shared conservative-lookahead simulator: fabric = global shard 0,
-  // board d owns the next local_shards_ slots (board residue, channels,
-  // guider-pool sub-shards — see engine.hpp). Fabric messages ride the
-  // same window protocol as everything else, floored to the lookahead.
+  // board d owns [1 + d*(1+C), 1 + (d+1)*(1+C)) — its board shard then one
+  // per channel (see engine.hpp). Fabric messages ride the same window
+  // protocol as everything else, floored to the lookahead.
   const Tick lookahead = conservative_lookahead_ns(cfg_.accel, cfg_.ssd);
   hop_ns_ = std::max(acfg_.link_ns, lookahead);
-  local_shards_ = accel::FlashWalkerEngine::local_shard_count(cfg_.accel, cfg_.ssd);
+  local_shards_ = accel::FlashWalkerEngine::local_shard_count(cfg_.ssd);
   const std::uint32_t total_shards = 1 + acfg_.devices * local_shards_;
   psim_ = std::make_unique<sim::ParallelSimulator>(total_shards, lookahead,
                                                    std::max<std::uint32_t>(1, cfg_.sim_threads));

@@ -64,13 +64,6 @@ struct AccelConfig {
   /// still charged per walk).
   std::uint32_t batch_walks = 64;
 
-  /// Board guider pool sub-shards: the paper's 128 board guiders are split
-  /// across K DES shards so per-hop model dispatch, mapping lookups, and
-  /// query-cache probes run off the board shard (values < 1 clamp to 1).
-  /// Fixed independently of --sim-threads: the shard layout — and therefore
-  /// the event schedule — must not change with the worker count.
-  std::uint32_t board_guider_shards = 4;
-
   Features features;
 };
 

@@ -111,18 +111,10 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
     }
     its_ = std::make_unique<rw::ItsTable>(pg.graph());
   }
-  // The board guider pool: K sub-shards, each owning an equal slice of the
-  // guiders/updaters and of the query caches. Entry: the mapping-table
-  // fields a cached lookup short-circuits.
-  gshards_.resize(std::max<std::uint32_t>(1, opt_.accel.board_guider_shards));
-  const std::uint32_t caches_per_shard = std::max<std::uint32_t>(
-      1, opt_.accel.query_cache_count /
-             static_cast<std::uint32_t>(gshards_.size()));
-  for (GuiderShard& g : gshards_) {
-    for (std::uint32_t i = 0; i < caches_per_shard; ++i) {
-      g.caches.push_back(std::make_unique<AssocCacheModel>(
-          opt_.accel.query_cache_bytes, 2 * pg.id_bytes() + 8));
-    }
+  for (std::uint32_t i = 0; i < opt_.accel.query_cache_count; ++i) {
+    // Entry: the mapping-table fields a cached lookup short-circuits.
+    query_caches_.push_back(std::make_unique<AssocCacheModel>(
+        opt_.accel.query_cache_bytes, 2 * pg.id_bytes() + 8));
   }
 
   // Model-carried state (prev vertex, residual register, ...) rides with
@@ -176,12 +168,11 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
     board_.updater_track = opt_.trace->register_track("board", "updater");
   }
 
-  // The sharded DES: board residue = shard 0, channel c (and its chips) =
-  // 1 + c, guider-pool sub-shard k = 1 + channels + k. Cross-shard messages
-  // pay at least the conservative-lookahead window as their honest
-  // ONFI-command + DRAM-hop cost, so every send clears it.
+  // The sharded DES: board = shard 0, channel c (and its chips) = 1 + c.
+  // Cross-shard messages pay at least the conservative-lookahead window as
+  // their honest ONFI-command + DRAM-hop cost, so every send clears it.
   track_job_visits_ = track_job_outputs_ && opt_.record_visits;
-  sinks_ = std::vector<ShardSink>(local_shard_count(opt_.accel, opt_.ssd));
+  sinks_ = std::vector<ShardSink>(local_shard_count(opt_.ssd));
   for (auto& sink : sinks_) {
     sink.job_hops.assign(jobs_.size(), 0);
     if (track_job_visits_) sink.job_visits.resize(jobs_.size());
@@ -524,12 +515,8 @@ void FlashWalkerEngine::load_hot_subgraphs() {
 void FlashWalkerEngine::begin_partition(PartitionId p, bool charge_io) {
   current_partition_ = p;
   scheduler_->begin_partition(p);
-  // Partition switch replaces the mapping entries the query caches index.
-  // The caches live on the guider sub-shards, so the epoch bump rides the
-  // next dispatch message and each sub-shard clears lazily on observing it
-  // (no cross-shard write here; switches only happen with no decisions in
-  // flight — active_walks_ gates maybe_switch_partition).
-  ++partition_epoch_;
+  // Partition switch replaces the mapping entries the caches index.
+  for (auto& cache : query_caches_) cache->clear();
 
   auto walks = std::move(pending_[p]);
   pending_[p].clear();
@@ -748,21 +735,21 @@ void FlashWalkerEngine::insert_pwb(SubgraphId sg, rw::Walk w,
   }
 }
 
-FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_decide(
-    rw::Walk w, PartitionId part, GuiderShard& g, ShardSink& sink,
-    std::uint64_t& cycles) {
-  RouteDecision d;
+std::uint32_t FlashWalkerEngine::board_route_walk(
+    rw::Walk w, std::vector<std::uint32_t>& touched_chips) {
+  ShardSink& bsink = sinks_[kBoardShard];
+  std::uint32_t cycles = 0;
   SubgraphId target = w.prewalked_sg;
 
   if (target == kInvalidSubgraph) {
     // Dense-vertex check runs first (paper: "looks up the dense vertices
     // mapping table before the subgraph mapping table").
     ++cycles;  // Bloom probe
-    ++sink.metrics.bloom_lookups;
+    ++bsink.metrics.bloom_lookups;
     const auto dres = dtab_->lookup(w.cur);
     if (dres.bloom_positive) {
       ++cycles;  // hash-table probe
-      if (dres.bloom_false_positive) ++sink.metrics.bloom_false_positives;
+      if (dres.bloom_false_positive) ++bsink.metrics.bloom_false_positives;
     }
     if (dres.meta) {
       // Pre-walking: choose the destination graph block before the hop. The
@@ -774,9 +761,9 @@ FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_decide(
       std::uint32_t block;
       if (model_of(w).needs_weights()) {
         // Biased pre-walk: block chosen proportionally to its weight mass.
-        const auto& gr = pg_->graph();
-        const EdgeId first_edge = gr.offsets()[w.cur];
-        const EdgeId last_edge = gr.offsets()[w.cur + 1];
+        const auto& g = pg_->graph();
+        const EdgeId first_edge = g.offsets()[w.cur];
+        const EdgeId last_edge = g.offsets()[w.cur + 1];
         const double total = its_->cumulative_weight(last_edge - 1);
         const double rnd = wrng.uniform() * total;
         // Binary search over block boundaries.
@@ -801,78 +788,87 @@ FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_decide(
       target = meta.first_sgid + block;
       w.prewalked_sg = target;
       w.rng_state = wrng.next();
-      ++sink.metrics.dense_prewalks;
+      ++bsink.metrics.dense_prewalks;
     }
   }
 
   if (target == kInvalidSubgraph) {
-    // Hot-subgraph short circuit (HS). Slot identities are fixed at load
-    // time, so membership is decidable here; queue capacity is live board
-    // state and is re-checked when the decision applies.
+    // Hot-subgraph short circuit (HS).
     if (opt_.accel.features.hot_subgraphs && !board_.hot.empty()) {
       cycles += match_cycles(board_.hot.size());
-      for (std::size_t i = 0; i < board_.hot.size(); ++i) {
-        if (walk_in_sg(w, pg_->subgraph(board_.hot[i].sg))) {
-          d.w = w;
-          d.action = RouteDecision::Action::kHot;
-          d.hot_slot = static_cast<std::uint32_t>(i);
-          return d;
+      for (auto& slot : board_.hot) {
+        if (walk_in_sg(w, pg_->subgraph(slot.sg))) {
+          const std::uint64_t cap =
+              opt_.accel.board.walk_queue_bytes / std::max<std::uint64_t>(
+                  1, board_.hot.size() * wbytes());
+          if (slot.queue.size() < cap) {
+            slot.queue.push_back(w);
+            kick_board_updater();
+            return cycles;
+          }
+          break;  // queue full: fall through to the pwb path
         }
       }
     }
 
     // Channel-attached range tags double as a foreigner check (paper
     // §III.C): if the whole tagged range lies in another partition, the
-    // walk goes straight to the foreigner buffer — no mapping search. The
-    // comparison runs against the snapshot partition `part` the dispatch
-    // carried; switches are blocked while decisions are in flight, so the
-    // snapshot always equals the live partition at apply time.
+    // walk goes straight to the foreigner buffer — no mapping search.
     if (opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag) {
       ++cycles;
       const auto [first, count] = mtab_->range_span(w.range_tag);
       const PartitionId pid_lo = pg_->partition_of(mtab_->entries()[first].sgid);
       const PartitionId pid_hi =
           pg_->partition_of(mtab_->entries()[first + count - 1].sgid);
-      if (pid_lo == pid_hi && pid_lo != part) {
-        ++sink.metrics.range_foreigner_hints;
-        d.w = w;
-        d.pid = pid_lo;
-        d.action = owns_partition(pid_lo) ? RouteDecision::Action::kForeign
-                                          : RouteDecision::Action::kDevice;
-        return d;
+      if (pid_lo == pid_hi && pid_lo != current_partition_) {
+        ++bsink.metrics.range_foreigner_hints;
+        if (!owns_partition(pid_lo)) {
+          // Whole tagged range lives on another board: straight to the
+          // cross-device forwarding buffer, no mapping search.
+          forward_walk(pid_lo, w);
+        } else {
+          park_foreigner(pid_lo, w);
+        }
+        return cycles;
       }
     }
 
-    // Subgraph mapping lookup, possibly accelerated by WQ through the
-    // sub-shard's private query-cache slice.
+    // Subgraph mapping lookup, possibly accelerated by WQ.
     partition::Lookup lookup;
     if (opt_.accel.features.walk_query) {
       lookup = w.range_tag != rw::kNoRangeTag ? mtab_->find_in_range(w.cur, w.range_tag)
                                               : mtab_->find(w.cur);
-      auto& cache = *g.caches[g.cache_rr++ % g.caches.size()];
+      auto& cache = *query_caches_[cache_rr_++ % query_caches_.size()];
       if (cache.access(lookup.sgid)) {
         ++cycles;
-        ++sink.metrics.query_cache_hits;
+        ++bsink.metrics.query_cache_hits;
       } else {
         cycles += lookup.steps;
-        ++sink.metrics.query_cache_misses;
-        sink.metrics.mapping_search_steps += lookup.steps;
+        ++bsink.metrics.query_cache_misses;
+        bsink.metrics.mapping_search_steps += lookup.steps;
       }
     } else {
       lookup = mtab_->find(w.cur);
       cycles += lookup.steps;
-      sink.metrics.mapping_search_steps += lookup.steps;
+      bsink.metrics.mapping_search_steps += lookup.steps;
     }
     if (!lookup.found()) {
-      throw std::logic_error("route_decide: mapping lookup failed");
+      throw std::logic_error("board_route_walk: mapping lookup failed");
     }
     target = lookup.sgid;
   }
 
-  d.w = w;
-  d.action = RouteDecision::Action::kLocal;
-  d.target = target;
-  return d;
+  const PartitionId pid = pg_->partition_of(target);
+  if (pid == current_partition_) {
+    insert_pwb(target, w, touched_chips);
+  } else if (!owns_partition(pid)) {
+    // The walk's next subgraph lives on another board: stage it for the
+    // host fabric instead of the local foreigner buffer.
+    forward_walk(pid, w);
+  } else {
+    park_foreigner(pid, w);
+  }
+  return cycles;
 }
 
 void FlashWalkerEngine::park_foreigner(PartitionId pid, const rw::Walk& w) {
@@ -888,92 +884,6 @@ void FlashWalkerEngine::park_foreigner(PartitionId pid, const rw::Walk& w) {
                      bsink.metrics.foreigner_flush_pages);
     board_.foreigner_buffered_bytes = 0;
   }
-}
-
-void FlashWalkerEngine::place_routed(SubgraphId target, const rw::Walk& w,
-                                     std::vector<std::uint32_t>& touched_chips) {
-  const PartitionId pid = pg_->partition_of(target);
-  if (pid == current_partition_) {
-    insert_pwb(target, w, touched_chips);
-  } else if (!owns_partition(pid)) {
-    // The walk's next subgraph lives on another board: stage it for the
-    // host fabric instead of the local foreigner buffer.
-    forward_walk(pid, w);
-  } else {
-    park_foreigner(pid, w);
-  }
-}
-
-void FlashWalkerEngine::route_fallback(rw::Walk w,
-                                       std::vector<std::uint32_t>& touched_chips) {
-  // A hot-slot queue filled while this walk's decision was in flight. The
-  // serial guider fell through a full hot slot to the range check and the
-  // mapping lookup; replicate that tail here. The lookup runs uncached (the
-  // query caches live on the sub-shards) and its cycles are not re-charged:
-  // the chunk already paid its guider time, and this path fires at most
-  // once per capacity race.
-  ShardSink& bsink = sinks_[kBoardShard];
-  if (opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag) {
-    const auto [first, count] = mtab_->range_span(w.range_tag);
-    const PartitionId pid_lo = pg_->partition_of(mtab_->entries()[first].sgid);
-    const PartitionId pid_hi =
-        pg_->partition_of(mtab_->entries()[first + count - 1].sgid);
-    if (pid_lo == pid_hi && pid_lo != current_partition_) {
-      ++bsink.metrics.range_foreigner_hints;
-      if (!owns_partition(pid_lo)) {
-        forward_walk(pid_lo, w);
-        return;
-      }
-      park_foreigner(pid_lo, w);
-      return;
-    }
-  }
-  const partition::Lookup lookup =
-      opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag
-          ? mtab_->find_in_range(w.cur, w.range_tag)
-          : mtab_->find(w.cur);
-  bsink.metrics.mapping_search_steps += lookup.steps;
-  if (!lookup.found()) {
-    throw std::logic_error("route_fallback: mapping lookup failed");
-  }
-  place_routed(lookup.sgid, w, touched_chips);
-}
-
-void FlashWalkerEngine::apply_route_decisions(std::vector<RouteDecision> decs) {
-  std::vector<std::uint32_t> touched_chips = chip_list_pool_.acquire();
-  for (RouteDecision& d : decs) {
-    switch (d.action) {
-      case RouteDecision::Action::kHot: {
-        LoadedSg& slot = board_.hot[d.hot_slot];
-        const std::uint64_t cap =
-            opt_.accel.board.walk_queue_bytes /
-            std::max<std::uint64_t>(1, board_.hot.size() * wbytes());
-        if (slot.queue.size() < cap) {
-          slot.queue.push_back(d.w);
-        } else {
-          route_fallback(d.w, touched_chips);
-        }
-        break;
-      }
-      case RouteDecision::Action::kLocal:
-        place_routed(d.target, d.w, touched_chips);
-        break;
-      case RouteDecision::Action::kForeign:
-        park_foreigner(d.pid, d.w);
-        break;
-      case RouteDecision::Action::kDevice:
-        forward_walk(d.pid, d.w);
-        break;
-    }
-  }
-  // Re-run the load granter for every chip this chunk fed: chips holding
-  // walks are already processing (they kick themselves); idle chips get
-  // their loads granted from the board-side slot views.
-  for (std::uint32_t g : touched_chips) board_request_loads(g);
-  chip_list_pool_.release(std::move(touched_chips));
-  kick_board_updater();
-  kick_board_guider();
-  maybe_switch_partition();
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,7 +1148,9 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
   ShardSink& bsink = sinks_[kBoardShard];
   // Take the buffered walks now; new arrivals accumulate for the next load.
   std::vector<rw::Walk> walks = std::move(pwb_walks_[sg]);
-  pwb_walks_[sg] = bsink.walk_pool.acquire();
+  // Fresh, not pooled: a recycled batch vector's capacity would stay pinned
+  // in the entry for the rest of the run.
+  pwb_walks_[sg] = {};
   const std::uint64_t fl_count = fl_walks_[sg].size();
   walks.insert(walks.end(), fl_walks_[sg].begin(), fl_walks_[sg].end());
   fl_walks_[sg].clear();
@@ -1673,88 +1585,36 @@ void FlashWalkerEngine::process_board_guider() {
 
   const Tick gcycle = opt_.accel.board.guider_cycle;
   const std::uint32_t guiders = std::max<std::uint32_t>(1, opt_.accel.board.guiders);
-  const std::uint32_t pool = guider_pool_shards();
-  ShardSink& bsink = sinks_[kBoardShard];
 
-  // The board drains bigger batches: it has 128 guiders. The dispatch pass
-  // scans each walk once to pick its (job, walk-batch) sub-shard; the
-  // per-walk routing work is charged on the sub-shards' guider slices.
-  const std::uint32_t batch = opt_.accel.batch_walks * 4;
-  std::vector<std::vector<rw::Walk>> chunks(pool);
-  for (auto& chunk : chunks) chunk = bsink.walk_pool.acquire();
+  std::uint64_t cycles = 0;
+  std::vector<std::uint32_t> touched_chips = chip_list_pool_.acquire();
   std::uint32_t processed = 0;
+  // The board drains bigger batches: it has 128 guiders.
+  const std::uint32_t batch = opt_.accel.batch_walks * 4;
   while (processed < batch && !board_.guide.empty()) {
     rw::Walk w = board_.guide.front();
     board_.guide.pop_front();
     ++processed;
-    chunks[guider_shard_of(w)].push_back(w);
+    cycles += board_route_walk(w, touched_chips);
   }
-  const Tick cost = static_cast<Tick>(processed) * gcycle / guiders;
-  const Tick t_dispatch = board_.guider_unit.acquire(bnow(), cost);
+  const Tick cost = static_cast<Tick>(cycles) * gcycle / guiders;
+  const Tick completion = board_.guider_unit.acquire(bnow(), cost);
   if (opt_.trace != nullptr && cost > 0) {
-    opt_.trace->complete(board_.guider_track, "dispatch", t_dispatch - cost,
-                         t_dispatch, processed, "walks");
+    opt_.trace->complete(board_.guider_track, "guide", completion - cost, completion,
+                         processed, "walks");
   }
-  // Partition identity travels with the chunk; sub-shards never read the
-  // live current_partition_/partition_epoch_ (no cross-shard reads). The
-  // snapshot stays valid: maybe_switch_partition requires active_walks_ == 0
-  // and these walks are still active until their decisions apply.
-  const PartitionId part = current_partition_;
-  const std::uint64_t epoch = partition_epoch_;
-  for (std::uint32_t k = 0; k < pool; ++k) {
-    if (chunks[k].empty()) {
-      bsink.walk_pool.release(std::move(chunks[k]));
-      continue;
-    }
-    xsend(kBoardShard, guider_shard_id(k), t_dispatch,
-          [this, k, part, epoch, ws = std::move(chunks[k])]() mutable {
-      guide_route_chunk(k, part, epoch, std::move(ws));
-    });
-  }
-  // Pipelined: the next batch dispatches as soon as the dispatch pass's
-  // guider time frees; routing rounds overlap, and their decision messages
-  // apply in the deterministic (tick, src, seq) merge order.
   board_.guiding = true;
-  sched_at(kBoardShard, t_dispatch, [this] {
+  sched_at(kBoardShard, completion,
+           [this, touched = std::move(touched_chips)]() mutable {
     board_.guiding = false;
+    // Re-run the load granter for every chip this batch fed: chips holding
+    // walks are already processing (they kick themselves); idle chips get
+    // their loads granted from the board-side slot views.
+    for (std::uint32_t g : touched) board_request_loads(g);
+    chip_list_pool_.release(std::move(touched));
     kick_board_guider();
-  });
-}
-
-void FlashWalkerEngine::guide_route_chunk(std::uint32_t k, PartitionId part,
-                                          std::uint64_t epoch,
-                                          std::vector<rw::Walk> walks) {
-  GuiderShard& g = gshards_[k];
-  const sim::ShardId gs = guider_shard_id(k);
-  ShardSink& sink = sinks_[gs];
-  if (g.epoch != epoch) {
-    // A partition switch replaced the mapping entries the caches index.
-    g.epoch = epoch;
-    for (auto& cache : g.caches) cache->clear();
-  }
-
-  std::uint64_t cycles = 0;
-  std::vector<RouteDecision> decs;
-  decs.reserve(walks.size());
-  for (rw::Walk& w : walks) {
-    decs.push_back(route_decide(w, part, g, sink, cycles));
-  }
-  const std::size_t n = walks.size();
-  sink.walk_pool.release(std::move(walks));
-
-  // This sub-shard models its 1/K slice of the board guider pool.
-  const Tick gcycle = opt_.accel.board.guider_cycle;
-  const std::uint32_t width = std::max<std::uint32_t>(
-      1, std::max<std::uint32_t>(1, opt_.accel.board.guiders) /
-             guider_pool_shards());
-  const Tick cost = static_cast<Tick>(cycles) * gcycle / width;
-  const Tick completion = g.guider_unit.acquire(shard(gs).now(), cost);
-  if (opt_.trace != nullptr && cost > 0) {
-    opt_.trace->complete(board_.guider_track, "guide", completion - cost,
-                         completion, n, "walks");
-  }
-  xsend(gs, kBoardShard, completion, [this, ds = std::move(decs)]() mutable {
-    apply_route_decisions(std::move(ds));
+    kick_board_updater();
+    maybe_switch_partition();
   });
 }
 
@@ -1782,81 +1642,48 @@ void FlashWalkerEngine::process_board_updater() {
   if (slot == nullptr) return;
 
   ShardSink& bsink = sinks_[kBoardShard];
-  std::vector<rw::Walk> ws = bsink.walk_pool.acquire();
-  std::uint32_t processed = 0;
-  while (processed < opt_.accel.batch_walks && !slot->queue.empty()) {
-    ws.push_back(slot->queue.front());
-    slot->queue.pop_front();
-    ++processed;
-  }
-  const SubgraphId sgid = slot->sg;
-  const std::uint32_t k = upd_rr_++ % guider_pool_shards();
-  xsend(kBoardShard, guider_shard_id(k), bnow(),
-        [this, k, sgid, ws = std::move(ws)]() mutable {
-    update_board_chunk(k, sgid, std::move(ws));
-  });
-  // Pipelined: the next hot batch dispatches immediately (to the next
-  // sub-shard, round-robin); the sub-units' serial resources pace the
-  // actual hop work.
-  kick_board_updater();
-}
-
-void FlashWalkerEngine::update_board_chunk(std::uint32_t k, SubgraphId sgid,
-                                           std::vector<rw::Walk> walks) {
-  GuiderShard& g = gshards_[k];
-  const sim::ShardId gs = guider_shard_id(k);
-  ShardSink& sink = sinks_[gs];
-  const auto& sg = pg_->subgraph(sgid);
+  const auto& sg = pg_->subgraph(slot->sg);
   const Tick ucycle = opt_.accel.board.updater_cycle;
-  // This sub-shard models its 1/K slice of the board updater pool.
-  const std::uint32_t width = std::max<std::uint32_t>(
-      1, std::max<std::uint32_t>(1, opt_.accel.board.updaters) /
-             guider_pool_shards());
+  const std::uint32_t updaters = std::max<std::uint32_t>(1, opt_.accel.board.updaters);
 
   Tick cost = 0;
-  std::vector<rw::Walk> completed = sink.walk_pool.acquire();
-  std::vector<rw::Walk> to_guide = sink.walk_pool.acquire();
-  for (rw::Walk& w : walks) {
-    const HopOutcome hop = update_walk(w, sg, sink);
-    cost += (5 + hop.extra_cycles) * ucycle / width;
-    ++sink.metrics.board_updates;
-    ++g.updates;
+  std::vector<rw::Walk> to_guide = bsink.walk_pool.acquire();
+  std::uint32_t processed = 0;
+  while (processed < opt_.accel.batch_walks && !slot->queue.empty()) {
+    rw::Walk w = slot->queue.front();
+    slot->queue.pop_front();
+    ++processed;
+
+    const HopOutcome hop = update_walk(w, sg, bsink);
+    cost += (5 + hop.extra_cycles) * ucycle / updaters;
+    ++bsink.metrics.board_updates;
+    ++board_.updates;
+
     if (hop.completed) {
-      completed.push_back(w);
-    } else {
-      to_guide.push_back(w);  // updated walks re-enter the board guide buffer
+      complete_walk(w, board_.completed_buffered_bytes,
+                    opt_.accel.completed_buffer_bytes);
+      continue;
     }
+    to_guide.push_back(w);  // updated walks re-enter the board guide buffer
   }
-  const std::size_t n = walks.size();
-  sink.walk_pool.release(std::move(walks));
-
-  const Tick completion = g.updater_unit.acquire(shard(gs).now(), cost);
-  if (opt_.trace != nullptr && cost > 0) {
-    opt_.trace->complete(board_.updater_track, "update", completion - cost,
-                         completion, n, "walks");
-  }
-  xsend(gs, kBoardShard, completion,
-        [this, done = std::move(completed), guide = std::move(to_guide)]() mutable {
-    apply_board_updates(std::move(done), std::move(guide));
-  });
-}
-
-void FlashWalkerEngine::apply_board_updates(std::vector<rw::Walk> completed,
-                                            std::vector<rw::Walk> to_guide) {
-  ShardSink& bsink = sinks_[kBoardShard];
-  for (const rw::Walk& w : completed) {
-    complete_walk(w, board_.completed_buffered_bytes,
-                  opt_.accel.completed_buffer_bytes);
-  }
-  bsink.walk_pool.release(std::move(completed));
   array_flush_completions();  // hot-subgraph completions notify per batch too
-  if (!to_guide.empty()) {
-    enqueue_board(std::move(to_guide));
-  } else {
-    bsink.walk_pool.release(std::move(to_guide));
+
+  const Tick completion = board_.updater_unit.acquire(bnow(), cost);
+  if (opt_.trace != nullptr && cost > 0) {
+    opt_.trace->complete(board_.updater_track, "update", completion - cost, completion,
+                         processed, "walks");
   }
-  kick_board_updater();
-  maybe_switch_partition();
+  board_.updating = true;
+  sched_at(kBoardShard, completion, [this, walks = std::move(to_guide)]() mutable {
+    board_.updating = false;
+    if (!walks.empty()) {
+      enqueue_board(std::move(walks));
+    } else {
+      sinks_[kBoardShard].walk_pool.release(std::move(walks));
+    }
+    kick_board_updater();
+    maybe_switch_partition();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1976,18 +1803,9 @@ void FlashWalkerEngine::publish_counters(const ShardAuditReport& audit) {
     set(prefix + ".updates", ch.updates);
     set(prefix + ".busy_ns", ch.unit.busy_time());
   }
-  // Board totals span the residue shard plus the guider-pool sub-shards.
-  std::uint64_t board_updates = board_.updates;
-  Tick guider_busy = board_.guider_unit.busy_time();
-  Tick updater_busy = board_.updater_unit.busy_time();
-  for (const GuiderShard& g : gshards_) {
-    board_updates += g.updates;
-    guider_busy += g.guider_unit.busy_time();
-    updater_busy += g.updater_unit.busy_time();
-  }
-  set("board.updates", board_updates);
-  set("board.guider.busy_ns", guider_busy);
-  set("board.updater.busy_ns", updater_busy);
+  set("board.updates", board_.updates);
+  set("board.guider.busy_ns", board_.guider_unit.busy_time());
+  set("board.updater.busy_ns", board_.updater_unit.busy_time());
   if (flash_->reliability_enabled()) {
     // Gated so ideal-NAND runs emit exactly the pre-reliability metrics JSON
     // (the `reliability.*` family is live-updated by the flash array).

@@ -21,17 +21,14 @@
 // every hop the cycle/bus/flash costs of Table II/III.
 //
 // Execution model: the engine always runs on the conservative-lookahead
-// parallel DES (sim/parallel_sim). The board residue (scheduler, FTL,
-// DRAM, job control, PWB/pending mutation) lives on shard 0; channel c and
-// its chips live on shard 1 + c; the board guider pool is split across K
-// sub-shards (1 + channels + k) that run per-hop model dispatch, mapping
-// lookups, and hot-walk updates off the board shard, returning decisions
-// as messages the board applies in (tick, src, seq) merge order. Channel→
-// board traffic is coalesced per lookahead window: shards stage drain
-// reports, completion batches, and guide batches and ship one aggregated
-// message per window (the window-flush hook). Every cross-shard message
-// pays at least the lookahead window (accel/lookahead.hpp) as its honest
-// ONFI-command + DRAM-hop floor, shard-crossing state is split into
+// parallel DES (sim/parallel_sim). The board (plus every shared model —
+// DRAM, FTL, scheduler, mapping tables, job control) lives on shard 0 and
+// routes and updates walks inline; channel c and its chips live on shard
+// 1 + c. Channel→board traffic is coalesced per lookahead window: shards
+// stage drain reports, completion batches, and guide batches and ship one
+// aggregated message per window (the window-flush hook). Every cross-shard
+// message pays at least the lookahead window (accel/lookahead.hpp) as its
+// honest ONFI-command + DRAM-hop floor, shard-crossing state is split into
 // per-shard sinks merged after the run, and the window/merge schedule is a
 // pure function of queue state — so any worker count (sim_threads) yields
 // bit-identical results. See docs/MODELING.md "Parallel DES".
@@ -154,7 +151,7 @@ struct ShardAuditReport {
   std::uint64_t events = 0;
   std::uint64_t max_shard_events = 0;  ///< busiest shard (balance signal)
   std::uint64_t min_shard_events = 0;  ///< idlest shard (imbalance floor)
-  std::uint64_t board_events = 0;      ///< shard-0 residue (serial-hub share)
+  std::uint64_t board_events = 0;      ///< board shard (serial-hub share)
   std::uint64_t local_sends = 0;
   std::uint64_t cross_sends = 0;
   /// Windowed channel→board batching: aggregated flushes sent, and the
@@ -276,13 +273,10 @@ class FlashWalkerEngine {
   /// Live counter registry (fully populated after `run`).
   [[nodiscard]] const obs::CounterRegistry& counters() const { return registry_; }
 
-  /// Local shards one board occupies: board residue (0), one per channel
-  /// (1 + c), and the guider-pool sub-shards (1 + channels + k). The array
-  /// sizes its global shard space with this.
-  [[nodiscard]] static std::uint32_t local_shard_count(const AccelConfig& accel,
-                                                       const ssd::SsdConfig& ssd) {
-    return 1 + ssd.topo.channels +
-           std::max<std::uint32_t>(1, accel.board_guider_shards);
+  /// Local shards one board occupies: the board (0) and one per channel
+  /// (1 + c). The array sizes its global shard space with this.
+  [[nodiscard]] static std::uint32_t local_shard_count(const ssd::SsdConfig& ssd) {
+    return 1 + ssd.topo.channels;
   }
 
  private:
@@ -372,39 +366,6 @@ class FlashWalkerEngine {
     std::uint32_t slot = 0;
     Tick at = 0;  ///< intended arrival tick (the un-batched send time)
     std::vector<rw::Walk> walks;
-  };
-
-  /// One board guider/updater sub-shard (local shard 1 + channels + k): a
-  /// slice of the board's guider pool and updater array with its own serial
-  /// units and query caches. Sub-shard handlers read only immutable
-  /// structures (graph, mapping/dense tables, hot-slot identities fixed at
-  /// load time) plus this private state; every mutation of board residue
-  /// state (PWB, pending lists, job control) travels back to shard 0 as a
-  /// decision message and applies in (tick, src, seq) merge order.
-  struct GuiderShard {
-    sim::SerialResource guider_unit;
-    sim::SerialResource updater_unit;
-    std::vector<std::unique_ptr<AssocCacheModel>> caches;
-    std::uint64_t cache_rr = 0;
-    std::uint64_t epoch = 0;    ///< partition epoch the caches are valid for
-    std::uint64_t updates = 0;  ///< board-updater hops executed here
-  };
-
-  /// Sub-shard → board routing verdict for one walk. Capacity-dependent
-  /// choices (hot queue space) are re-validated against live state on the
-  /// board when the decision applies.
-  struct RouteDecision {
-    enum class Action : std::uint8_t {
-      kHot,      ///< walk_in_sg matched board hot slot `hot_slot`
-      kLocal,    ///< mapped to subgraph `target`
-      kForeign,  ///< whole tagged range lives in foreign partition `pid`
-      kDevice,   ///< partition `pid` lives on another board of the array
-    };
-    rw::Walk w;
-    Action action = Action::kLocal;
-    std::uint32_t hot_slot = 0;
-    SubgraphId target = kInvalidSubgraph;
-    PartitionId pid = 0;
   };
 
   /// Per-shard accumulation state: every counter or pool an event handler
@@ -528,52 +489,12 @@ class FlashWalkerEngine {
   /// Board shard: apply a flushed window batch in staged order.
   void apply_board_batch(std::vector<BoardOp> ops);
 
-  // --- sharded board guider/updater pool ------------------------------------
-  [[nodiscard]] std::uint32_t guider_pool_shards() const {
-    return static_cast<std::uint32_t>(gshards_.size());
-  }
-  [[nodiscard]] sim::ShardId guider_shard_id(std::uint32_t k) const {
-    return 1 + static_cast<sim::ShardId>(channels_.size()) + k;
-  }
-  /// Deterministic (job, walk-batch) partition: which sub-shard routes `w`.
-  /// A pure function of walk identity, so the assignment — and with it the
-  /// event schedule — is invariant under worker count and timing.
-  [[nodiscard]] std::uint32_t guider_shard_of(const rw::Walk& w) const {
-    const std::uint32_t batch = std::max<std::uint32_t>(1, opt_.accel.batch_walks);
-    return (w.job + w.id / batch) % guider_pool_shards();
-  }
-  /// Sub-shard k: route a dispatched chunk (dense pre-walk, hot membership,
-  /// range check against the snapshot partition `part`, mapping lookup via
-  /// the sub-shard's private caches), charge the chunk on the sub-shard's
-  /// guider slice, and send the decisions back to the board.
-  void guide_route_chunk(std::uint32_t k, PartitionId part, std::uint64_t epoch,
-                         std::vector<rw::Walk> walks);
-  /// Pure routing verdict for one walk (sub-shard compute half of the old
-  /// board_route_walk). Mutates only `w` (pre-walk), the sub-shard's private
-  /// cache state, and `sink`/`cycles` tallies.
-  RouteDecision route_decide(rw::Walk w, PartitionId part, GuiderShard& g,
-                             ShardSink& sink, std::uint64_t& cycles);
-  /// Board shard: apply a chunk's decisions in arrival order (PWB inserts,
-  /// hot placement with live capacity check, foreigner/forward placement,
-  /// then load grants for the touched chips).
-  void apply_route_decisions(std::vector<RouteDecision> decs);
-  /// Board-shard tail for a hot-slot decision whose queue filled while the
-  /// decision was in flight: route past the hot set (range check + uncached
-  /// mapping lookup) exactly as the serial guider's fall-through did.
-  void route_fallback(rw::Walk w, std::vector<std::uint32_t>& touched_chips);
-  /// Place a routed walk: PWB when its partition is current, forward when
-  /// another board owns it, foreigner-park otherwise.
-  void place_routed(SubgraphId target, const rw::Walk& w,
-                    std::vector<std::uint32_t>& touched_chips);
+  /// Route one updated/ingested walk at the board: dense pre-walk, hot
+  /// check, mapping lookup, then pwb / foreigner placement. Returns guider
+  /// cycles spent; appends affected chips to `touched_chips`.
+  std::uint32_t board_route_walk(rw::Walk w, std::vector<std::uint32_t>& touched_chips);
   /// Foreigner placement: pending list + buffered-bytes accounting + flush.
   void park_foreigner(PartitionId pid, const rw::Walk& w);
-  /// Sub-shard k: run one hot-slot batch through update_walk on the
-  /// sub-shard's updater slice; completed/to-guide splits return to board.
-  void update_board_chunk(std::uint32_t k, SubgraphId sgid,
-                          std::vector<rw::Walk> walks);
-  /// Board shard: complete finished walks, re-enqueue the rest.
-  void apply_board_updates(std::vector<rw::Walk> completed,
-                           std::vector<rw::Walk> to_guide);
 
   // --- cross-device forwarding (array-attached boards only) ---------------
   /// True when partition `p`'s walks execute on this board. Always true for
@@ -668,11 +589,11 @@ class FlashWalkerEngine {
   std::unique_ptr<partition::DenseVertexTable> dtab_;
   std::unique_ptr<SubgraphScheduler> scheduler_;
   std::unique_ptr<rw::ItsTable> its_;
+  std::vector<std::unique_ptr<AssocCacheModel>> query_caches_;
 
   std::vector<ChipState> chips_;
   std::vector<ChannelState> channels_;
   BoardState board_;
-  std::vector<GuiderShard> gshards_;  ///< board guider pool, one per sub-shard
   std::vector<ChipView> chip_views_;  ///< board-side slot residency replica
   std::vector<ShardSink> sinks_;      ///< one per shard, single writer each
 
@@ -717,8 +638,7 @@ class FlashWalkerEngine {
   std::uint64_t walk_bytes_ = 0;
   std::uint64_t flush_lpn_ = 0;     ///< rolling logical page for walk flushes
   std::uint64_t flush_window_ = 1;  ///< LPN window size for walk flushes
-  std::uint64_t partition_epoch_ = 0;  ///< bumped per switch; stales sub caches
-  std::uint32_t upd_rr_ = 0;  ///< round-robin updater-chunk dispatch
+  std::uint64_t cache_rr_ = 0;   ///< distributes lookups over the query caches
   bool done_ = false;
   Tick done_tick_ = 0;  ///< when the final walk completed (== exec time)
 };

@@ -11,14 +11,9 @@ namespace fw::graph {
 CsrGraph::CsrGraph(std::vector<EdgeId> offsets, std::vector<VertexId> edges,
                    std::vector<float> weights)
     : offsets_(std::move(offsets)), edges_(std::move(edges)), weights_(std::move(weights)) {
-  if (offsets_.empty()) {
-    throw std::invalid_argument("CsrGraph: offsets must have at least one entry");
-  }
-  if (offsets_.back() != edges_.size()) {
-    throw std::invalid_argument("CsrGraph: offsets.back() != edges.size()");
-  }
-  if (!weights_.empty() && weights_.size() != edges_.size()) {
-    throw std::invalid_argument("CsrGraph: weights must be empty or match edges");
+  // Engines index offsets/edges unchecked, so a malformed graph never loads.
+  if (const std::string err = validate(); !err.empty()) {
+    throw std::invalid_argument(std::string("CsrGraph: ") + err);
   }
 }
 
@@ -85,7 +80,9 @@ std::string CsrGraph::validate() const {
   if (!weights_.empty()) {
     if (weights_.size() != edges_.size()) return "weights size mismatch";
     for (std::size_t i = 0; i < weights_.size(); ++i) {
-      if (!(weights_[i] > 0.0f)) return "non-positive weight at " + std::to_string(i);
+      if (!(weights_[i] > 0.0f) || std::isinf(weights_[i])) {
+        return "non-positive or infinite weight at " + std::to_string(i);
+      }
     }
   }
   return {};

@@ -18,6 +18,8 @@ class CsrGraph {
 
   /// Takes ownership of pre-built CSR arrays. `offsets.size()` must be
   /// `num_vertices + 1`; `weights` is empty (unweighted) or `edges.size()`.
+  /// Throws std::invalid_argument with validate()'s message when the arrays
+  /// are malformed.
   CsrGraph(std::vector<EdgeId> offsets, std::vector<VertexId> edges,
            std::vector<float> weights = {});
 

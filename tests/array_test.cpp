@@ -204,6 +204,27 @@ TEST(BoardArray, SingleDeviceReportMatchesCommittedBaseline) {
       << "single-device report drifted from the committed baseline";
 }
 
+TEST(BoardArray, FourDevicesBeatTwo) {
+  // Scaling shape on bench/array_scaling's set-up (default SSD, one 2 KiB
+  // block per partition, striped round-robin): 4 devices must finish the
+  // same walks in less simulated time than 2. At 6000 walks the boards are
+  // lightly loaded, so per-walk handoff latency on the board's route/update
+  // path, not flash work, decides exec time — an extra cross-shard round
+  // trip per routed walk shows up here as 4 devices running slower than 2.
+  const graph::CsrGraph g = tt_test();
+  const partition::PartitionedGraph pg(g, fine_grain());
+  auto exec_at = [&pg](std::uint32_t devices) {
+    SimulationConfig cfg = array_cfg(devices, 6000);
+    cfg.ssd = ssd::SsdConfig{};
+    cfg.spec.seed = 42;
+    cfg.record_visits = false;
+    return BoardArray(pg, cfg).run().exec_time;
+  };
+  const Tick two = exec_at(2);
+  const Tick four = exec_at(4);
+  EXPECT_LT(four, two) << "4 devices: " << four << " ns, 2 devices: " << two << " ns";
+}
+
 TEST(BoardArray, RejectsConfigsTheArrayCannotHonor) {
   const graph::CsrGraph g = tt_test();
   const partition::PartitionedGraph pg(g, fine_grain());

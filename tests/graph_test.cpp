@@ -3,6 +3,7 @@
 // scaled Table IV dataset registry.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "graph/builder.hpp"
@@ -47,11 +48,27 @@ TEST(Csr, RejectsMalformedArrays) {
   EXPECT_THROW(CsrGraph({}, {}), std::invalid_argument);
   EXPECT_THROW(CsrGraph({0, 2}, {1}), std::invalid_argument);           // count mismatch
   EXPECT_THROW(CsrGraph({0, 1}, {0}, {1.0f, 2.0f}), std::invalid_argument);
+  EXPECT_THROW(CsrGraph({0, 1}, {0}, {0.0f}), std::invalid_argument);
+  EXPECT_THROW(CsrGraph({0, 1}, {0}, {std::numeric_limits<float>::infinity()}),
+               std::invalid_argument);
 }
 
 TEST(Csr, ValidateCatchesOutOfRangeEdge) {
-  const CsrGraph g({0, 1}, {5});  // target 5 in a 1-vertex graph
-  EXPECT_FALSE(g.validate().empty());
+  // Target 5 in a 1-vertex graph: rejected at construction, so no engine
+  // can ever read the out-of-range vertex.
+  EXPECT_THROW(CsrGraph({0, 1}, {5}), std::invalid_argument);
+}
+
+TEST(Csr, RejectsNonMonotoneOffsets) {
+  // offsets[2] < offsets[1] would give vertex 1 an out-degree of -1.
+  try {
+    const CsrGraph g({0, 2, 1, 2}, {1, 2});
+    FAIL() << "non-monotone offsets loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("offsets not monotone at 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Csr, IdBytesSwitchesAt32Bits) {

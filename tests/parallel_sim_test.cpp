@@ -342,8 +342,7 @@ TEST(EngineShardAudit, ConcurrentRunIsBitIdenticalAndViolationFree) {
   EXPECT_EQ(serial.visit_counts, audited.visit_counts);
 
   const ShardAuditReport& a = audited.shard_audit;
-  EXPECT_EQ(a.shards, FlashWalkerEngine::local_shard_count(bench_accel_config(),
-                                                           ssd::test_ssd_config()));
+  EXPECT_EQ(a.shards, FlashWalkerEngine::local_shard_count(ssd::test_ssd_config()));
   EXPECT_EQ(a.lookahead_ns,
             conservative_lookahead_ns(bench_accel_config(), ssd::test_ssd_config()));
   EXPECT_GT(a.events, 0u);
