@@ -220,14 +220,17 @@ TEST_P(EngineFeatures, CompletesAndConserves) {
   }
 }
 
+// gtest names each case after a byte dump of its parameter, padding included.
+// Cases in static storage have zeroed padding, so the names stay the same from
+// run to run; stack temporaries would leak whatever the stack held.
+constexpr FeatureCase kFeatureCases[] = {
+    {false, false, false, "none"}, {true, false, false, "wq"},
+    {true, true, false, "wq_hs"},  {true, true, true, "all"},
+    {false, true, true, "hs_ss"},  {false, false, true, "ss"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Toggles, EngineFeatures,
-    ::testing::Values(FeatureCase{false, false, false, "none"},
-                      FeatureCase{true, false, false, "wq"},
-                      FeatureCase{true, true, false, "wq_hs"},
-                      FeatureCase{true, true, true, "all"},
-                      FeatureCase{false, true, true, "hs_ss"},
-                      FeatureCase{false, false, true, "ss"}),
+    Toggles, EngineFeatures, ::testing::ValuesIn(kFeatureCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(EngineFeaturesExtra, WalkQueryReducesSearchSteps) {
