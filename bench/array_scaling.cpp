@@ -1,12 +1,12 @@
 // Multi-SSD array scale-out benchmark: aggregate simulated walks/sec at
 // 1/2/4/8 devices plus the forwarding traffic the host fabric carried.
 //
-// Every number is simulated (exec time, walks/sec, forwarded walks), so
-// each point is bit-deterministic for a fixed seed and machine-independent;
-// the bench re-runs every point at --sim-threads 1 and 8 and byte-compares
-// the serialized reports (determinism_ok). bench/regression.py gates
-// determinism always and the 4-device scaling ratio on hosts with >= 8
-// hardware threads (where CI actually exercises the parallel DES).
+// Every number is simulated (exec time, walks/sec, forwarded walks, DES
+// windows and busy shard passes), so each point is bit-deterministic for a
+// fixed seed and machine-independent; the bench re-runs every point at
+// --sim-threads 1 and 8 and byte-compares the serialized reports
+// (determinism_ok). bench/regression.py gates all of it exactly on every
+// host, plus a floor on the 4-device scaling ratio.
 //
 // Results land in the "array_scaling" section of BENCH_sim.json:
 // --merge-into splices the section into an existing fw-bench-sim/2 report,
@@ -39,6 +39,8 @@ struct Point {
   std::uint64_t forward_batches = 0;
   std::uint64_t forwarded_bytes = 0;
   std::uint64_t timeout_flushes = 0;
+  std::uint64_t windows = 0;       ///< DES windows (barrier rounds)
+  std::uint64_t shard_passes = 0;  ///< shard drain passes that ran an event
   bool determinism_ok = false;
 };
 
@@ -71,8 +73,10 @@ Point run_point(const partition::PartitionedGraph& pg, std::uint32_t devices,
   p.forward_batches = r1.fabric.batches;
   p.forwarded_bytes = r1.fabric.bytes;
   p.timeout_flushes = r1.metrics.forward_timeout_flushes;
-  p.determinism_ok =
-      accel::to_json("array", r1) == accel::to_json("array", r8);
+  p.windows = r1.windows;
+  p.shard_passes = r1.shard_passes;
+  p.determinism_ok = accel::to_json("array", r1) == accel::to_json("array", r8) &&
+                     r1.windows == r8.windows && r1.shard_passes == r8.shard_passes;
   return p;
 }
 
@@ -97,6 +101,7 @@ std::string section_json(const std::vector<Point>& points, const std::string& da
        << ", \"forward_batches\": " << p.forward_batches
        << ", \"forwarded_bytes\": " << p.forwarded_bytes
        << ", \"timeout_flushes\": " << p.timeout_flushes
+       << ", \"windows\": " << p.windows << ", \"shard_passes\": " << p.shard_passes
        << ", \"determinism_ok\": " << (p.determinism_ok ? "true" : "false") << "}"
        << (i + 1 < points.size() ? ",\n" : "\n");
   }
@@ -184,12 +189,14 @@ int main(int argc, char** argv) {
 
   const std::uint32_t hw_threads = std::thread::hardware_concurrency();
   std::vector<Point> points;
-  TextTable table({"devices", "exec", "walks/s", "fwd walks", "batches", "det"});
+  TextTable table(
+      {"devices", "exec", "walks/s", "fwd walks", "batches", "windows", "passes", "det"});
   for (const std::uint32_t d : {1u, 2u, 4u, 8u}) {
     const Point p = run_point(pg, d, walks, seed);
     table.add_row({std::to_string(p.devices), TextTable::time_ns(p.exec),
                    TextTable::num(p.walks_per_sec, 0), std::to_string(p.forwarded_walks),
-                   std::to_string(p.forward_batches), p.determinism_ok ? "ok" : "FAIL"});
+                   std::to_string(p.forward_batches), std::to_string(p.windows),
+                   std::to_string(p.shard_passes), p.determinism_ok ? "ok" : "FAIL"});
     points.push_back(p);
   }
   table.print(std::cout);

@@ -54,11 +54,12 @@ What is gated, and why
 7. `array_scaling` (multi-SSD array): every number in the section is
    simulated, so all of it is gated on every host. `determinism_ok`
    (byte-identical array reports across --sim-threads 1/8 at every device
-   count), each point's `exec_ns` and `forwarded_walks`, and
-   `scaling_4dev` must EQUAL the baseline, and `scaling_4dev` (the 4-device
-   aggregate walks/sec over the single-device run) must also clear
-   --array-floor (default 2.84, the ratio the array had when it landed),
-   so a regression cannot be hidden by re-recording the baseline.
+   count), each point's `exec_ns`, `forwarded_walks`, `windows` (DES
+   barrier rounds) and `shard_passes` (shard drain passes that executed an
+   event), and `scaling_4dev` must EQUAL the baseline, and `scaling_4dev`
+   (the 4-device aggregate walks/sec over the single-device run) must also
+   clear --array-floor (default 2.84, the ratio the array had when it
+   landed), so a regression cannot be hidden by re-recording the baseline.
 
 8. `board_hub` (same trigger as 5): the shard-audit breakdown of the
    board-shard serial hub — event share, windowed handoff batches,
@@ -308,8 +309,9 @@ def check_board_hub(base, cur, failures):
 
 def check_array(base, cur, floor, failures):
     """Gate the multi-SSD array section. Every number in it is simulated, so
-    all of it is gated on every host: determinism, each point's exec_ns and
-    forwarded_walks, and scaling_4dev exactly, plus the scaling floor."""
+    all of it is gated on every host: determinism, each point's exec_ns,
+    forwarded_walks, windows and shard_passes, and scaling_4dev exactly,
+    plus the scaling floor."""
     arr = section_or_fail("array_scaling", base, cur, failures)
     if arr is None:
         return
@@ -328,7 +330,7 @@ def check_array(base, cur, floor, failures):
             print(f"{name}: missing from current report [MISSING]")
             failures.append(name)
             continue
-        for key in ("exec_ns", "forwarded_walks"):
+        for key in ("exec_ns", "forwarded_walks", "windows", "shard_passes"):
             gate_equal(f"{name}.{key}", bp.get(key), cp.get(key), failures)
 
     scaling = arr.get("scaling_4dev", 0.0)

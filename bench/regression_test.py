@@ -34,7 +34,8 @@ def minimal_report(**extra):
 
 
 def array_section(determinism_ok=True, scaling_4dev=3.0, hw_threads=8,
-                  exec_4dev=1000, walks=50000):
+                  exec_4dev=1000, walks=50000, windows_4dev=40,
+                  passes_4dev=90):
     return {
         "dataset": "TT",
         "walks": walks,
@@ -43,8 +44,10 @@ def array_section(determinism_ok=True, scaling_4dev=3.0, hw_threads=8,
         "determinism_ok": determinism_ok,
         "scaling_4dev": scaling_4dev,
         "points": [
-            {"devices": 1, "exec_ns": 3000, "forwarded_walks": 0},
-            {"devices": 4, "exec_ns": exec_4dev, "forwarded_walks": 77},
+            {"devices": 1, "exec_ns": 3000, "forwarded_walks": 0,
+             "windows": 30, "shard_passes": 60},
+            {"devices": 4, "exec_ns": exec_4dev, "forwarded_walks": 77,
+             "windows": windows_4dev, "shard_passes": passes_4dev},
         ],
     }
 
@@ -187,12 +190,28 @@ class ArrayScalingTest(unittest.TestCase):
         proc = run_checker(low, low, "--array-floor", "1.0")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
+    def test_des_counts_missing_from_candidate_fail(self):
+        # A candidate recorded without the window counts must not pass the
+        # exact gate by omission.
+        base = minimal_report(array_scaling=array_section())
+        cur = array_section()
+        for p in cur["points"]:
+            del p["windows"], p["shard_passes"]
+        proc = run_checker(base, minimal_report(array_scaling=cur))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("array_scaling.points[1dev].windows", proc.stderr)
+        self.assertIn("array_scaling.points[4dev].shard_passes", proc.stderr)
+
     def test_simulated_numbers_gated_exactly(self):
         base = minimal_report(array_scaling=array_section())
         for name, cur in [
             ("array_scaling.points[4dev].exec_ns",
              array_section(exec_4dev=1001, hw_threads=1)),
             ("array_scaling.scaling_4dev", array_section(scaling_4dev=3.5)),
+            ("array_scaling.points[4dev].windows",
+             array_section(windows_4dev=39)),
+            ("array_scaling.points[4dev].shard_passes",
+             array_section(passes_4dev=91)),
         ]:
             with self.subTest(name=name):
                 proc = run_checker(base, minimal_report(array_scaling=cur))

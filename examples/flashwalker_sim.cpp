@@ -84,6 +84,13 @@ void print_shard_audit(const accel::ShardAuditReport& a,
             << a.max_shard_events << " events/shard; board share "
             << TextTable::num(static_cast<double>(a.board_share_ppm()) / 10000.0, 2)
             << "%\n"
+            << "  windows       : " << a.windows << " DES windows, " << a.shard_passes
+            << " busy shard passes ("
+            << TextTable::num(a.windows == 0 ? 0.0
+                                             : static_cast<double>(a.events) /
+                                                   static_cast<double>(a.windows),
+                              1)
+            << " events/window)\n"
             << "  board batches : " << a.board_batches << " windows carrying "
             << a.board_batched_ops << " staged ops\n"
             << "  cross-shard   : " << a.cross_sends << " sends ("

@@ -206,6 +206,8 @@ ArrayResult BoardArray::run() {
   ArrayResult r;
   r.devices = acfg_.devices;
   r.exec_time = done_tick_;
+  r.windows = psim_->windows();
+  r.shard_passes = psim_->shard_passes();
   r.fabric = fabric_stats_;
   r.fabric.link_ns = hop_ns_;
   for (std::uint32_t d = 0; d < acfg_.devices; ++d) {

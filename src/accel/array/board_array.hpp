@@ -63,6 +63,10 @@ struct ArrayResult {
   std::vector<service::JobStats> jobs;
   std::vector<std::uint64_t> visit_counts;     ///< merged, when recorded
   std::vector<std::uint64_t> endpoint_counts;  ///< merged, when recorded
+  /// DES windows the array's simulator executed, and shard drain passes
+  /// (fabric and every board) that executed at least one event.
+  std::uint64_t windows = 0;
+  std::uint64_t shard_passes = 0;
 
   [[nodiscard]] double walks_per_sec() const {
     if (exec_time == 0) return 0.0;

@@ -1863,6 +1863,8 @@ void FlashWalkerEngine::publish_counters(const ShardAuditReport& audit) {
     set("parallel.local_sends", audit.local_sends);
     set("parallel.cross_sends", audit.cross_sends);
     set("parallel.lookahead_violations", audit.lookahead_violations);
+    set("parallel.windows", audit.windows);
+    set("parallel.shard_passes", audit.shard_passes);
   }
 }
 
@@ -1927,12 +1929,14 @@ EngineResult FlashWalkerEngine::finalize() {
     r.enabled = true;
     r.shards = num_local_shards();
     r.lookahead_ns = psim_->lookahead();
+    r.windows = psim_->windows();
     Tick min_cross = std::numeric_limits<Tick>::max();
     r.min_shard_events = std::numeric_limits<std::uint64_t>::max();
     r.board_events = shard(kBoardShard).events_executed();
     for (sim::ShardId s = 0; s < num_local_shards(); ++s) {
       const std::uint64_t ev = shard(s).events_executed();
       r.events += ev;
+      r.shard_passes += shard(s).passes();
       r.max_shard_events = std::max(r.max_shard_events, ev);
       r.min_shard_events = std::min(r.min_shard_events, ev);
       const ShardSink& sink = sinks_[s];

@@ -161,6 +161,11 @@ struct ShardAuditReport {
   std::uint64_t board_batched_ops = 0;
   Tick min_cross_delay_ns = 0;  ///< 0 when no cross-shard send occurred
   std::uint64_t lookahead_violations = 0;
+  /// DES windows of the simulator this board runs on (array-wide for an
+  /// array board), and this board's shard drain passes that executed at
+  /// least one event. events / windows is the work per barrier round.
+  std::uint64_t windows = 0;
+  std::uint64_t shard_passes = 0;
   /// Board-shard share of all executed events, in parts per million.
   [[nodiscard]] std::uint64_t board_share_ppm() const {
     return events == 0 ? 0 : board_events * 1000000ull / events;

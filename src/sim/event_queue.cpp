@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -26,7 +27,8 @@ EventQueue::EventQueue(std::uint32_t width_log2, std::uint32_t buckets_log2)
     : shift_(width_log2),
       nbuckets_(std::uint64_t{1} << buckets_log2),
       mask_(nbuckets_ - 1),
-      buckets_(nbuckets_) {}
+      buckets_(nbuckets_),
+      occupied_((nbuckets_ + 63) / 64, 0) {}
 
 void EventQueue::push(Tick at, EventFn fn) {
   Event ev{at, next_seq_++, std::move(fn)};
@@ -57,6 +59,7 @@ void EventQueue::insert_into_window(Event ev) {
     return;
   }
   b.push_back(std::move(ev));
+  mark_occupied(bid);
   if (bid < scan_bid_) {
     // A pop from the scan bucket would have anchored floor_ == scan_, and
     // anything earlier than floor_ takes the rewind path — so the scan
@@ -83,28 +86,46 @@ void EventQueue::rewind_to(std::uint64_t bid) {
   if (active_) {
     std::vector<Event>& b = bucket(scan_bid_);
     b.erase(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(pos_));
+    if (b.empty()) mark_empty(scan_bid_);
     active_ = false;
     pos_ = 0;
   }
   // The new, earlier window ends sooner: evict events past its end back to
-  // the overflow heap. O(buckets + events), but only direct queue users can
-  // schedule behind the last delivery, so the simulator never pays this.
+  // the overflow heap. Only occupied buckets are visited, so the cost is
+  // O(buckets / 64 + window events).
   const std::uint64_t new_end = bid + nbuckets_;
-  for (std::vector<Event>& b : buckets_) {
-    auto keep = b.begin();
-    for (auto& ev : b) {
-      if (bucket_of(ev.at) >= new_end) {
-        overflow_.push_back(std::move(ev));
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-        --win_count_;
-      } else {
-        *keep++ = std::move(ev);
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t slot = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+      std::vector<Event>& b = buckets_[slot];
+      auto keep = b.begin();
+      for (auto& ev : b) {
+        if (bucket_of(ev.at) >= new_end) {
+          overflow_.push_back(std::move(ev));
+          std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+          --win_count_;
+        } else {
+          *keep++ = std::move(ev);
+        }
       }
+      b.erase(keep, b.end());
+      if (b.empty()) mark_empty(slot);
     }
-    b.erase(keep, b.end());
   }
   floor_bid_ = bid;
   scan_bid_ = bid;
+}
+
+std::uint64_t EventQueue::next_occupied(std::uint64_t bid) const {
+  for (;;) {
+    const std::uint64_t i = bid & mask_;
+    // Bits at and above slot i in its word. Slots past the ring's end are
+    // never set, so a ring smaller than one word needs no extra mask.
+    const std::uint64_t bits = occupied_[i >> 6] >> (i & 63);
+    if (bits != 0) return bid + static_cast<std::uint64_t>(std::countr_zero(bits));
+    bid += std::min<std::uint64_t>(64 - (i & 63), nbuckets_ - i);
+    assert(bid < window_end() && "window count out of sync");
+  }
 }
 
 void EventQueue::settle() {
@@ -112,6 +133,7 @@ void EventQueue::settle() {
   if (active_ && pos_ < bucket(scan_bid_).size()) return;
   if (active_) {
     bucket(scan_bid_).clear();
+    mark_empty(scan_bid_);
     active_ = false;
     pos_ = 0;
     ++scan_bid_;
@@ -123,10 +145,7 @@ void EventQueue::settle() {
     scan_bid_ = floor_bid_;
     promote_overflow();
   }
-  while (bucket(scan_bid_).empty()) {
-    ++scan_bid_;
-    assert(scan_bid_ < window_end() && "window count out of sync");
-  }
+  scan_bid_ = next_occupied(scan_bid_);
   std::vector<Event>& b = bucket(scan_bid_);
   if (b.size() > 1) {
     std::sort(b.begin(), b.end(), [](const Event& a, const Event& e) {
@@ -156,6 +175,7 @@ std::pair<Tick, EventFn> EventQueue::pop() {
   ++pos_;
   if (pos_ == b.size()) {
     b.clear();
+    mark_empty(scan_bid_);
     active_ = false;
     pos_ = 0;
     // Keep scan_ on the drained bucket until floor_ advances below.

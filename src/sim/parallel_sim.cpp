@@ -16,30 +16,14 @@ void Shard::send(ShardId dst, Tick delay, EventFn fn) {
     schedule(delay, std::move(fn));
     return;
   }
-  if (dst >= outbox_.size()) {
+  if (dst >= owner_->num_shards()) {
     throw std::out_of_range("Shard::send: destination shard out of range");
   }
   if (delay < owner_->lookahead_) {
     throw std::logic_error(
         "Shard::send: cross-shard delay below the conservative lookahead");
   }
-  outbox_[dst].push_back(Envelope{now_ + delay, send_seq_++, std::move(fn)});
-}
-
-void Shard::send_at(ShardId dst, Tick at, EventFn fn) {
-  if (dst == id_) {
-    schedule_at(at, std::move(fn));
-    return;
-  }
-  if (dst >= outbox_.size()) {
-    throw std::out_of_range("Shard::send_at: destination shard out of range");
-  }
-  if (at < now_ || at - now_ < owner_->lookahead_) {
-    throw std::logic_error(
-        "Shard::send_at: cross-shard delivery below the conservative "
-        "lookahead");
-  }
-  outbox_[dst].push_back(Envelope{at, send_seq_++, std::move(fn)});
+  outbox_.push_back(Envelope{now_ + delay, send_seq_++, dst, std::move(fn)});
 }
 
 void ParallelSimulator::Barrier::arrive_and_wait() {
@@ -71,7 +55,6 @@ ParallelSimulator::ParallelSimulator(std::uint32_t num_shards, Tick lookahead,
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     shards_[s].owner_ = this;
     shards_[s].id_ = s;
-    shards_[s].outbox_.resize(num_shards);
   }
 }
 
@@ -88,15 +71,16 @@ std::uint64_t ParallelSimulator::events_executed() const {
   return total;
 }
 
-std::optional<Tick> ParallelSimulator::next_window(Tick until) {
+std::uint64_t ParallelSimulator::shard_passes() const {
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) total += s.passes_;
+  return total;
+}
+
+std::optional<Tick> ParallelSimulator::next_window(Tick until) const {
   Tick start = kMaxTick;
-  bool any = false;
-  for (Shard& s : shards_) {
-    if (s.queue_.empty()) continue;
-    any = true;
-    start = std::min(start, s.queue_.next_tick());
-  }
-  if (!any || start > until) return std::nullopt;
+  for (const Shard& s : shards_) start = std::min(start, s.next_tick_);
+  if (start == kMaxTick || start > until) return std::nullopt;
   Tick end = start + lookahead_;
   if (end < start) end = kMaxTick;  // saturate
   if (until != kMaxTick && end > until + 1) end = until + 1;
@@ -104,12 +88,17 @@ std::optional<Tick> ParallelSimulator::next_window(Tick until) {
 }
 
 void ParallelSimulator::drain_window(Shard& s, Tick window_end) {
-  while (!s.queue_.empty() && s.queue_.next_tick() < window_end) {
-    auto popped = s.queue_.try_pop();
-    if (!popped) break;  // unreachable given the guard; keeps the API honest
-    s.now_ = popped->first;
-    popped->second();
-    ++s.executed_;
+  if (s.next_tick_ < window_end) {
+    Tick next = kMaxTick;
+    do {
+      auto [at, fn] = s.queue_.pop();
+      s.now_ = at;
+      fn();
+      ++s.executed_;
+      next = s.queue_.empty() ? kMaxTick : s.queue_.next_tick();
+    } while (next < window_end);
+    s.next_tick_ = next;
+    ++s.passes_;
   }
   // Flush after the pop loop so anything the shard staged during the window
   // crosses via the outbox this barrier. The hook fires even when the shard
@@ -121,13 +110,11 @@ void ParallelSimulator::drain_window(Shard& s, Tick window_end) {
 void ParallelSimulator::merge_outboxes() {
   merge_scratch_.clear();
   for (Shard& src : shards_) {
-    for (ShardId dst = 0; dst < src.outbox_.size(); ++dst) {
-      for (Shard::Envelope& env : src.outbox_[dst]) {
-        merge_scratch_.push_back(
-            Crossing{env.at, src.id_, env.seq, dst, std::move(env.fn)});
-      }
-      src.outbox_[dst].clear();
+    for (Shard::Envelope& env : src.outbox_) {
+      merge_scratch_.push_back(
+          Crossing{env.at, src.id_, env.seq, env.dst, std::move(env.fn)});
     }
+    src.outbox_.clear();
   }
   // (tick, src, seq) is a total order — seq is monotone per source — so the
   // destination queues see crossings in a schedule-independent sequence.
@@ -137,9 +124,7 @@ void ParallelSimulator::merge_outboxes() {
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
-  for (Crossing& c : merge_scratch_) {
-    shards_[c.dst].queue_.push(c.at, std::move(c.fn));
-  }
+  for (Crossing& c : merge_scratch_) shards_[c.dst].push(c.at, std::move(c.fn));
   merge_scratch_.clear();
 }
 
@@ -160,6 +145,7 @@ std::uint64_t ParallelSimulator::run(Tick until) {
   if (workers_ == 1) {
     // Inline mode: identical window/merge schedule, no threads.
     while (std::optional<Tick> end = next_window(until)) {
+      ++windows_;
       for (Shard& s : shards_) drain_window(s, *end);
       merge_outboxes();
     }
@@ -174,6 +160,7 @@ std::uint64_t ParallelSimulator::run(Tick until) {
     // state: workers sit at the round-start rendezvous while it inspects
     // queues, merges outboxes, and publishes the next window.
     while (std::optional<Tick> end = next_window(until)) {
+      ++windows_;
       window_end_ = *end;
       barrier_.arrive_and_wait();  // release workers into the window
       barrier_.arrive_and_wait();  // wait for the drain phase

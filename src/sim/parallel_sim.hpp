@@ -1,15 +1,21 @@
 // Conservative-lookahead parallel DES over per-channel event-queue shards.
 //
 // Each shard owns a private bucketed calendar EventQueue (sim/event_queue)
-// plus a clock and a set of single-writer outboxes. Execution proceeds in
-// windows: the coordinator takes the globally earliest pending tick
-// `start`, opens the window [start, start + lookahead), and every shard
-// drains its own queue strictly inside the window with no locks — safe
-// because the model guarantees any cross-shard interaction takes at least
-// `lookahead` ns (ONFI channel transfer + DRAM hop; see
-// accel/lookahead.hpp and docs/MODELING.md "Parallel DES"). Cross-shard
-// sends therefore always land at or after the window end; they are parked
-// in the sender's outbox and merged at the barrier.
+// plus a clock and a single-writer outbox. Execution proceeds in windows:
+// the coordinator takes the globally earliest pending tick `start`, opens
+// the window [start, start + lookahead), and every shard drains its own
+// queue strictly inside the window with no locks — safe because the model
+// guarantees any cross-shard interaction takes at least `lookahead` ns
+// (ONFI channel transfer + DRAM hop; see accel/lookahead.hpp and
+// docs/MODELING.md "Parallel DES"). Cross-shard sends therefore always land
+// at or after the window end; they are parked in the sender's outbox and
+// merged at the barrier.
+//
+// Host cost follows executed events, not the shard count: every shard
+// caches its earliest pending tick (lowered on schedule and merge, reset
+// exactly when a drain pass ends), so picking the next window reads one
+// number per shard, a shard with nothing before the window end is not
+// drained at all, and the merge visits one outbox per source shard.
 //
 // Determinism: the window schedule is a pure function of queue state at
 // barriers, each shard executes serially in (tick, seq) order, and the
@@ -29,6 +35,7 @@
 // serial merge phase.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -56,16 +63,16 @@ class Shard {
   [[nodiscard]] ShardId id() const { return id_; }
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  /// Window drain passes in which this shard executed at least one event.
+  [[nodiscard]] std::uint64_t passes() const { return passes_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// Schedule on this shard, `delay` ns from the shard clock.
-  void schedule(Tick delay, EventFn fn) { queue_.push(now_ + delay, std::move(fn)); }
+  void schedule(Tick delay, EventFn fn) { push(now_ + delay, std::move(fn)); }
 
   /// Schedule on this shard at absolute tick `at` (clamped to the shard
   /// clock, like Simulator::schedule_at).
-  void schedule_at(Tick at, EventFn fn) {
-    queue_.push(at < now_ ? now_ : at, std::move(fn));
-  }
+  void schedule_at(Tick at, EventFn fn) { push(at < now_ ? now_ : at, std::move(fn)); }
 
   /// Schedule on shard `dst`, `delay` ns from this shard's clock. A
   /// self-send degenerates to a local schedule (no lookahead constraint).
@@ -75,20 +82,13 @@ class Shard {
   /// this shard's outbox and delivered at the next window barrier.
   void send(ShardId dst, Tick delay, EventFn fn);
 
-  /// Send on shard `dst` at absolute tick `at` on the destination clock.
-  /// Same rules as `send`; `at` must be >= now + lookahead for a
-  /// cross-shard destination (self-sends clamp like schedule_at). Used by
-  /// window-flush hooks, whose batched deliveries are phrased in absolute
-  /// ticks (the max over the staged operations' intended arrival times).
-  void send_at(ShardId dst, Tick at, EventFn fn);
-
   /// Install a per-window flush hook. When set, the hook runs exactly once
   /// at the end of every drain_window pass over this shard — after the
   /// shard executed its final event of the window, with the shard clock
   /// still at that event's tick — in both inline and threaded modes, so
   /// the hook cadence (and therefore anything it sends) is a pure function
   /// of the window schedule, independent of the worker count. Hooks may
-  /// call send/send_at but must not schedule local events.
+  /// call send but must not schedule local events.
   void set_window_flush(std::function<void(Shard&)> hook) {
     window_flush_ = std::move(hook);
   }
@@ -99,19 +99,29 @@ class Shard {
   struct Envelope {
     Tick at;
     std::uint64_t seq;  ///< per-source send order, tie-break within a tick
+    ShardId dst;
     EventFn fn;
   };
+
+  void push(Tick at, EventFn fn) {
+    next_tick_ = std::min(next_tick_, at);
+    queue_.push(at, std::move(fn));
+  }
 
   ParallelSimulator* owner_ = nullptr;
   ShardId id_ = 0;
   Tick now_ = 0;
+  /// Earliest pending tick (max Tick when the queue is empty). Exact at
+  /// every barrier: push lowers it, a drain pass resets it from the queue.
+  Tick next_tick_ = std::numeric_limits<Tick>::max();
   std::uint64_t executed_ = 0;
+  std::uint64_t passes_ = 0;
   std::uint64_t send_seq_ = 0;
   EventQueue queue_;
   std::function<void(Shard&)> window_flush_;
-  /// outbox_[dst]: crossings produced this window. Written only by the
-  /// worker that owns this shard; drained only by the merge phase.
-  std::vector<std::vector<Envelope>> outbox_;
+  /// Crossings produced this window, to any destination. Written only by
+  /// the worker that owns this shard; drained only by the merge phase.
+  std::vector<Envelope> outbox_;
 };
 
 class ParallelSimulator {
@@ -138,6 +148,11 @@ class ParallelSimulator {
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::uint64_t events_executed() const;
+  /// Windows executed so far; events_executed() / windows() is the mean
+  /// work per barrier round.
+  [[nodiscard]] std::uint64_t windows() const { return windows_; }
+  /// Sum of Shard::passes(): shard drain passes that executed an event.
+  [[nodiscard]] std::uint64_t shard_passes() const;
 
   /// Run windows until every shard queue drains or the earliest pending
   /// event lies beyond `until`. Returns the number of events executed by
@@ -162,14 +177,15 @@ class ParallelSimulator {
   };
 
   /// Next window end, or nullopt when nothing remains at or before
-  /// `until`. Pure function of the shard queues — callers must hold all
-  /// workers at a barrier.
-  [[nodiscard]] std::optional<Tick> next_window(Tick until);
+  /// `until`. Pure function of the shards' cached next ticks — callers
+  /// must hold all workers at a barrier.
+  [[nodiscard]] std::optional<Tick> next_window(Tick until) const;
 
   /// Drain one shard's events with tick < window_end (the parallel phase
   /// body; also the inline-mode body), then run the shard's window-flush
   /// hook so staged cross-shard batches leave via the outbox before the
-  /// merge barrier.
+  /// merge barrier. The queue is not touched when the shard's cached next
+  /// tick is at or past the window end.
   static void drain_window(Shard& s, Tick window_end);
 
   /// Deliver every outbox envelope in (tick, src, seq) order (the serial
@@ -182,6 +198,7 @@ class ParallelSimulator {
   std::uint32_t workers_;
   std::vector<Shard> shards_;
   Tick now_ = 0;
+  std::uint64_t windows_ = 0;
 
   // Window-loop rendezvous state (used only when workers_ > 1). The
   // barrier's acquire/release pairs order these plain fields: the

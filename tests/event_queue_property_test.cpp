@@ -180,6 +180,74 @@ TEST(EventQueueProperty, NonMonotonePushesRewindWindow) {
   ASSERT_TRUE(q.empty());
 }
 
+// --- occupancy bitmap -------------------------------------------------------
+// The drain cursor finds the next non-empty bucket through a one-bit-per-
+// bucket map scanned a 64-bit word at a time. These cases cover rings
+// smaller than, equal to and larger than one word.
+
+constexpr std::uint32_t kRingGeometries[] = {2, 6, 10};  // 4, 64, 1024 buckets
+
+TEST(EventQueueProperty, SparseDelaysSkipEmptyBucketsAndWrap) {
+  // Most delays leave 65+ empty buckets behind the cursor, so the scan
+  // crosses whole empty words and, as `now` advances, wraps the ring.
+  auto sparse = [](Xoshiro256& rng) -> Tick {
+    const std::uint64_t r = rng.bounded(100);
+    if (r < 25) return rng.bounded(8);
+    if (r < 85) return (65 + rng.bounded(900)) << EventQueue::kDefaultWidthLog2;
+    return rng.bounded(20'000);
+  };
+  for (std::uint32_t buckets_log2 : kRingGeometries) {
+    for (std::uint64_t seed : {2ull, 31ull}) {
+      SCOPED_TRACE(testing::Message() << "buckets_log2=" << buckets_log2);
+      run_against_model(EventQueue::kDefaultWidthLog2, buckets_log2, seed, 5000, sparse,
+                        /*expect_overflow=*/true);
+    }
+  }
+}
+
+TEST(EventQueueProperty, RewindRightAfterOverflowJump) {
+  // Peeking a drained window jumps the floor onto the far overflow event;
+  // a push between the last pop and that event then rewinds the window
+  // and evicts the far event back to overflow. Repeated from many clocks
+  // so the jump and the rewind land on every ring position.
+  for (std::uint32_t buckets_log2 : kRingGeometries) {
+    SCOPED_TRACE(testing::Message() << "buckets_log2=" << buckets_log2);
+    const Tick window = Tick{1} << (EventQueue::kDefaultWidthLog2 + buckets_log2);
+    EventQueue q(EventQueue::kDefaultWidthLog2, buckets_log2);
+    ModelQueue model;
+    std::vector<std::uint64_t> fired;
+    Xoshiro256 rng(buckets_log2);
+    std::uint64_t next_id = 0;
+    Tick now = 0;
+    auto push = [&](Tick at) {
+      const std::uint64_t id = next_id++;
+      q.push(at, [&fired, id] { fired.push_back(id); });
+      model.push(at, id);
+    };
+    auto pop = [&] {
+      ASSERT_EQ(q.next_tick(), model.next_tick());
+      const auto [model_tick, model_id] = model.pop();
+      auto [tick, fn] = q.pop();
+      ASSERT_EQ(tick, model_tick);
+      fn();
+      ASSERT_EQ(fired.back(), model_id);
+      now = tick;
+    };
+    for (int round = 0; round < 300; ++round) {
+      const Tick far = now + 3 * window + rng.bounded(4 * window);
+      push(far);
+      ASSERT_EQ(q.next_tick(), far);  // window drained: the floor jumps
+      ASSERT_EQ(q.overflow_size(), 0u);
+      push(now + rng.bounded(window / 2));  // behind the jumped floor
+      ASSERT_EQ(q.overflow_size(), 1u);     // the far event was evicted
+      if (rng.bounded(2) == 0) push(now + rng.bounded(2 * window));
+      while (!model.empty()) pop();
+    }
+    ASSERT_TRUE(q.empty());
+    ASSERT_EQ(fired.size(), next_id);
+  }
+}
+
 // --- empty-queue hard checks ----------------------------------------------
 
 TEST(EventQueueProperty, EmptyQueueAccessThrowsInEveryBuildType) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -59,7 +60,21 @@ struct RunResult {
   std::vector<Tick> clocks;
   std::uint64_t executed = 0;
   Tick now = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t passes = 0;  ///< busy shard drain passes
 };
+
+RunResult collect(const ParallelSimulator& ps, const ChainState& st,
+                  std::uint64_t executed) {
+  RunResult r;
+  r.executed = executed;
+  r.checksums = st.checksum;
+  for (ShardId s = 0; s < ps.num_shards(); ++s) r.clocks.push_back(ps.shard(s).now());
+  r.now = ps.now();
+  r.windows = ps.windows();
+  r.passes = ps.shard_passes();
+  return r;
+}
 
 RunResult run_chains(std::uint32_t shards, std::uint32_t workers,
                      std::uint32_t chains, std::uint32_t hops) {
@@ -71,12 +86,8 @@ RunResult run_chains(std::uint32_t shards, std::uint32_t workers,
       ps.shard(s).schedule(k * 3 + s, [&drv, s, hops] { drv.fire(s, hops); });
     }
   }
-  RunResult r;
-  r.executed = ps.run();
-  r.checksums = st.checksum;
-  for (std::uint32_t s = 0; s < shards; ++s) r.clocks.push_back(ps.shard(s).now());
-  r.now = ps.now();
-  return r;
+  const std::uint64_t executed = ps.run();
+  return collect(ps, st, executed);
 }
 
 TEST(ParallelSim, WorkerCountsProduceIdenticalResults) {
@@ -93,6 +104,8 @@ TEST(ParallelSim, WorkerCountsProduceIdenticalResults) {
   EXPECT_EQ(one.executed, eight.executed);
   EXPECT_EQ(one.now, two.now);
   EXPECT_EQ(one.now, eight.now);
+  EXPECT_EQ(one.windows, eight.windows);
+  EXPECT_EQ(one.passes, eight.passes);
   EXPECT_EQ(one.executed, 9u * 4u * 201u);  // every chain ran to completion
 }
 
@@ -239,7 +252,7 @@ TEST(ParallelSim, WindowFlushFiresOncePerWindowOnEveryShard) {
 
 TEST(ParallelSim, WindowFlushBatchesStraddlingAWindowLeaveOnce) {
   // Two events execute on shard 1 inside one window and stage work for
-  // shard 0. The flush hook coalesces the staging into ONE send_at, so the
+  // shard 0. The flush hook coalesces the staging into ONE send, so the
   // batch crosses the window boundary as a single message, delivered at the
   // latest staged arrival, with the staged order preserved — identically
   // for every worker count.
@@ -258,7 +271,7 @@ TEST(ParallelSim, WindowFlushBatchesStraddlingAWindowLeaveOnce) {
     ps.shard(1).set_window_flush([&](Shard& sh) {
       if (staged.empty()) return;
       const Tick at = std::max(staged_at, sh.now() + kLookahead);
-      sh.send_at(0, at, [&ps, &deliveries, items = std::move(staged)] {
+      sh.send(0, at - sh.now(), [&ps, &deliveries, items = std::move(staged)] {
         deliveries.push_back(Delivery{ps.shard(0).now(), items});
       });
       staged.clear();
@@ -279,22 +292,97 @@ TEST(ParallelSim, WindowFlushBatchesStraddlingAWindowLeaveOnce) {
   EXPECT_EQ(run(2), one);
 }
 
-TEST(ParallelSim, SendAtRejectsSubLookaheadDeliveries) {
+TEST(ParallelSim, ShardFedOnlyByCrossingsRunsThem) {
+  // Shard 2 never schedules locally: every event it runs arrives through
+  // the barrier merge, which must wake it (lower its cached next tick) —
+  // including when that crossing is the only event left anywhere.
+  for (std::uint32_t workers : {1u, 3u}) {
+    ParallelSimulator ps(3, kLookahead, workers);
+    std::vector<Tick> seen;  // only shard 2 writes
+    ps.shard(0).schedule(0, [&ps, &seen] {
+      for (Tick d : {kLookahead, 5 * kLookahead, 40 * kLookahead}) {
+        ps.shard(0).send(2, d, [&ps, &seen] { seen.push_back(ps.shard(2).now()); });
+      }
+    });
+    ps.shard(1).schedule(kLookahead + 1, [] {});  // a busy bystander
+    EXPECT_EQ(ps.run(), 5u) << workers << " workers";
+    EXPECT_EQ(seen, (std::vector<Tick>{kLookahead, 5 * kLookahead, 40 * kLookahead}));
+    EXPECT_TRUE(ps.idle());
+    EXPECT_EQ(ps.shard(2).passes(), 3u);  // one busy pass per crossing
+  }
+}
+
+TEST(ParallelSim, ScheduleOnIdleShardBetweenRuns) {
+  // Shard 1 drains in the first run; events scheduled on it from outside
+  // between runs must reach the next window selection.
   ParallelSimulator ps(2, kLookahead, 1);
-  bool threw = false;
-  int fired = 0;
-  ps.shard(0).schedule(5, [&] {
-    try {
-      ps.shard(0).send_at(1, 5 + kLookahead - 1, [] {});
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
-    ps.shard(0).send_at(1, 5 + kLookahead, [&fired] { ++fired; });
-    ps.shard(0).send_at(0, 6, [&fired] { ++fired; });  // self: unconstrained
-  });
+  std::vector<std::pair<ShardId, Tick>> order;
+  ps.shard(0).schedule(1000, [&] { order.emplace_back(0, ps.shard(0).now()); });
+  ps.shard(1).schedule(10, [&] { order.emplace_back(1, ps.shard(1).now()); });
+  EXPECT_EQ(ps.run(500), 1u);
+  ps.shard(1).schedule(20, [&] { order.emplace_back(1, ps.shard(1).now()); });
+  ps.shard(1).schedule_at(5, [&] { order.emplace_back(1, ps.shard(1).now()); });
+  EXPECT_EQ(ps.run(500), 2u);
+  EXPECT_EQ(ps.run(), 1u);
+  const std::vector<std::pair<ShardId, Tick>> expect = {
+      {1, 10}, {1, 10}, {1, 30}, {0, 1000}};  // schedule_at clamps to the clock
+  EXPECT_EQ(order, expect);
+  EXPECT_TRUE(ps.idle());
+}
+
+TEST(ParallelSim, CountsWindowsAndBusyShardPasses) {
+  // Four events on shard 0 spaced beyond the lookahead: four windows, one
+  // busy pass each; the two idle shards add no passes.
+  ParallelSimulator ps(3, kLookahead, 1);
+  for (Tick t = 0; t < 4; ++t) ps.shard(0).schedule(t * 3 * kLookahead, [] {});
   ps.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(ps.windows(), 4u);
+  EXPECT_EQ(ps.shard_passes(), 4u);
+  EXPECT_EQ(ps.shard(0).passes(), 4u);
+  EXPECT_EQ(ps.shard(1).passes(), 0u);
+}
+
+/// Many shards, few events each, long gaps: most shards sit idle in most
+/// windows and queues skip far more than 64 empty buckets between events —
+/// the array's shape (fabric + 4 x (board + 32 channels) = 133 shards).
+RunResult run_sparse(std::uint32_t workers) {
+  constexpr std::uint32_t kShards = 133;
+  ParallelSimulator ps(kShards, kLookahead, workers);
+  ChainState st(kShards);
+  std::function<void(ShardId, std::uint32_t)> fire = [&](ShardId s, std::uint32_t hops) {
+    Shard& sh = ps.shard(s);
+    st.checksum[s] = st.checksum[s] * 31 + (sh.now() ^ hops);
+    if (hops == 0) return;
+    if (st.rng[s].bounded(100) < 30) {
+      const auto dst = static_cast<ShardId>(st.rng[s].bounded(kShards));
+      sh.send(dst, kLookahead + st.rng[s].bounded(3000),
+              [&fire, dst, hops] { fire(dst, hops - 1); });
+    } else {
+      sh.schedule(st.rng[s].bounded(4) == 0 ? st.rng[s].bounded(8)
+                                            : 300 + st.rng[s].bounded(20000),
+                  [&fire, s, hops] { fire(s, hops - 1); });
+    }
+  };
+  for (ShardId s = 0; s < kShards; s += 7) {
+    ps.shard(s).schedule(s * 13, [&fire, s] { fire(s, 120); });
+  }
+  const std::uint64_t executed = ps.run();
+  return collect(ps, st, executed);
+}
+
+TEST(ParallelSim, SparseManyShardWorkloadIsWorkerCountInvariant) {
+  const RunResult one = run_sparse(1);
+  EXPECT_EQ(one.executed, 19u * 121u);     // every chain ran to completion
+  EXPECT_LT(one.passes, one.windows * 4);  // most shards idle in most windows
+  for (std::uint32_t workers : {2u, 4u, 8u}) {
+    const RunResult r = run_sparse(workers);
+    EXPECT_EQ(r.checksums, one.checksums) << workers << " workers";
+    EXPECT_EQ(r.clocks, one.clocks) << workers << " workers";
+    EXPECT_EQ(r.executed, one.executed) << workers << " workers";
+    EXPECT_EQ(r.now, one.now) << workers << " workers";
+    EXPECT_EQ(r.windows, one.windows) << workers << " workers";
+    EXPECT_EQ(r.passes, one.passes) << workers << " workers";
+  }
 }
 
 }  // namespace
