@@ -100,6 +100,20 @@ void print_shard_audit(const accel::ShardAuditReport& a,
             << " sends inside the lookahead window\n";
 }
 
+/// Wall time per DES thread of a threaded shard-audit run. Thread 0 is the
+/// caller, which always drains the hub shard (`hub`). Host-dependent, so it
+/// is printed only, never written to a report.
+void print_thread_times(const std::vector<sim::ThreadTime>& threads,
+                        const std::string& hub) {
+  if (threads.empty()) return;
+  std::cout << "  DES threads   : wall time draining (busy) vs at barriers (wait)\n";
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    std::cout << "    thread " << t << (t == 0 ? " (" + hub + " hub)" : std::string())
+              << " : busy " << TextTable::time_ns(threads[t].busy_ns) << ", wait "
+              << TextTable::time_ns(threads[t].wait_ns) << "\n";
+  }
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   OptionSet opts;
@@ -159,13 +173,16 @@ CliOptions parse(int argc, char** argv) {
            "(heterogeneous graph; label = hash(seed, v)\n"
            "% N; required by the metapath model)");
   opts.opt("--sim-threads", &o.sim_threads, "N",
-           "parallel-DES worker threads: channel\n"
-           "shards execute concurrently, bit-identical\n"
-           "to N=1 for any N (FlashWalker only;\n"
-           "incompatible with --trace-out)");
+           "parallel-DES threads in total: the main\n"
+           "thread drains the hub shard (board, or the\n"
+           "array fabric), all N share the rest;\n"
+           "bit-identical to N=1 for any N\n"
+           "(FlashWalker only; incompatible with\n"
+           "--trace-out)");
   opts.flag("--shard-audit", &o.shard_audit,
-            "record the cross-shard traffic audit\n"
-            "(pure observation; printed after the run)");
+            "record the cross-shard traffic audit and\n"
+            "per-thread busy/wait wall time (pure\n"
+            "observation; printed after the run)");
   opts.opt("--devices", &o.devices, "N",
            "multi-SSD array: shard the graph across N\n"
            "FlashWalker boards behind a host fabric\n"
@@ -251,6 +268,7 @@ int run_service(const CliOptions& cli, const partition::PartitionedGraph& pg,
             << ", p99 " << TextTable::time_ns(static_cast<Tick>(res.latency_p99_ns))
             << "\n";
   print_shard_audit(res.engine.shard_audit);
+  print_thread_times(res.engine.shard_audit.threads, "board");
 
   if (!cli.trace_path.empty()) {
     std::ofstream out(cli.trace_path);
@@ -323,6 +341,10 @@ int run_array(const CliOptions& cli, const partition::PartitionedGraph& pg,
   for (std::size_t d = 0; d < res.boards.size(); ++d)
     print_shard_audit(res.boards[d].shard_audit,
                       std::string("board") + std::to_string(d));
+  // Every board runs on the array's one simulator: one thread table.
+  if (!res.boards.empty()) {
+    print_thread_times(res.boards[0].shard_audit.threads, "fabric");
+  }
   if (!cli.jobs_spec.empty()) {
     TextTable jt({"job", "qos", "weight", "walks", "steps", "latency"});
     for (const auto& s : res.jobs) {
@@ -481,6 +503,7 @@ int main(int argc, char** argv) {
     const auto r = accel::SimulationBuilder(pg).config(cfg).run();
     fw_time = r.exec_time;
     print_shard_audit(r.shard_audit);
+    print_thread_times(r.shard_audit.threads, "board");
     if (!cli.trace_path.empty()) {
       std::ofstream out(cli.trace_path);
       if (!out) {

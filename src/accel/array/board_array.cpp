@@ -77,6 +77,7 @@ BoardArray::BoardArray(const partition::PartitionedGraph& pg, SimulationConfig c
   const std::uint32_t total_shards = 1 + acfg_.devices * local_shards_;
   psim_ = std::make_unique<sim::ParallelSimulator>(total_shards, lookahead,
                                                    std::max<std::uint32_t>(1, cfg_.sim_threads));
+  psim_->set_thread_timing(cfg_.shard_audit);
 
   uplinks_.reserve(acfg_.devices);
   downlinks_.reserve(acfg_.devices);

@@ -187,6 +187,7 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
     owned_psim_ = std::make_unique<sim::ParallelSimulator>(
         num_local_shards(), handoff_ns_,
         std::max<std::uint32_t>(1, opt_.sim_threads));
+    owned_psim_->set_thread_timing(opt_.shard_audit);
     psim_ = owned_psim_.get();
   } else {
     // Array-attached board: run on the array's shared simulator inside the
@@ -1930,6 +1931,7 @@ EngineResult FlashWalkerEngine::finalize() {
     r.shards = num_local_shards();
     r.lookahead_ns = psim_->lookahead();
     r.windows = psim_->windows();
+    r.threads = psim_->thread_times();
     Tick min_cross = std::numeric_limits<Tick>::max();
     r.min_shard_events = std::numeric_limits<std::uint64_t>::max();
     r.board_events = shard(kBoardShard).events_executed();

@@ -103,10 +103,12 @@ struct EngineOptions {
   /// Worker threads for the parallel DES (the `--sim-threads` CLI knob).
   /// The engine always executes on the sharded conservative-lookahead
   /// simulator (board = shard 0, channel c = shard 1 + c); this selects how
-  /// many OS threads drain the shards. 1 runs the identical window/merge
-  /// schedule inline on the caller's thread; N > 1 runs shards concurrently
-  /// between barriers. Results are bit-identical for any value (clamped to
-  /// the shard count) — see docs/MODELING.md "Parallel DES".
+  /// many OS threads drain the shards, in total. 1 runs the identical
+  /// window/merge schedule inline on the caller's thread; N > 1 runs shards
+  /// concurrently between barriers on the calling thread (which always
+  /// drains the board shard) plus N - 1 pool threads. Results are
+  /// bit-identical for any value (clamped to the shard count) — see
+  /// docs/MODELING.md "Parallel DES".
   std::uint32_t sim_threads = 1;
   /// Record the shard audit (per-shard balance, cross-shard traffic,
   /// lookahead-window margins) on the same run and publish it via the
@@ -166,6 +168,11 @@ struct ShardAuditReport {
   /// least one event. events / windows is the work per barrier round.
   std::uint64_t windows = 0;
   std::uint64_t shard_passes = 0;
+  /// Wall time per DES thread of that simulator (index 0 = the calling
+  /// thread, which drains the hub shard): drain-phase busy time and barrier
+  /// wait. Threaded runs only. Host-dependent, so it is printed by the CLI
+  /// but kept out of counters and JSON reports.
+  std::vector<sim::ThreadTime> threads;
   /// Board-shard share of all executed events, in parts per million.
   [[nodiscard]] std::uint64_t board_share_ppm() const {
     return events == 0 ? 0 : board_events * 1000000ull / events;

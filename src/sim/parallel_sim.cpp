@@ -1,6 +1,7 @@
 #include "sim/parallel_sim.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -9,6 +10,20 @@ namespace fw::sim {
 
 namespace {
 constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
+
+/// Runs `f`, adding its wall time to `*acc` unless `acc` is null.
+template <class F>
+void timed(std::uint64_t* acc, F&& f) {
+  if (acc == nullptr) {
+    f();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  *acc += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
+}
 }  // namespace
 
 void Shard::send(ShardId dst, Tick delay, EventFn fn) {
@@ -44,7 +59,7 @@ ParallelSimulator::ParallelSimulator(std::uint32_t num_shards, Tick lookahead,
     : lookahead_(lookahead),
       workers_(std::clamp<std::uint32_t>(workers, 1,
                                          num_shards == 0 ? 1 : num_shards)),
-      barrier_(workers_ + 1) {
+      barrier_(workers_) {
   if (num_shards == 0) {
     throw std::invalid_argument("ParallelSimulator: need at least one shard");
   }
@@ -75,6 +90,13 @@ std::uint64_t ParallelSimulator::shard_passes() const {
   std::uint64_t total = 0;
   for (const Shard& s : shards_) total += s.passes_;
   return total;
+}
+
+std::vector<ThreadTime> ParallelSimulator::thread_times() const {
+  std::vector<ThreadTime> out;
+  out.reserve(timing_.size());
+  for (const PaddedTime& p : timing_) out.push_back(p.t);
+  return out;
 }
 
 std::optional<Tick> ParallelSimulator::next_window(Tick until) const {
@@ -128,15 +150,48 @@ void ParallelSimulator::merge_outboxes() {
   merge_scratch_.clear();
 }
 
-void ParallelSimulator::worker_loop(std::uint32_t worker) {
-  for (;;) {
-    barrier_.arrive_and_wait();  // coordinator publishes window_end_ / stop_
-    if (stop_.load(std::memory_order_acquire)) return;
+void ParallelSimulator::record_error(ShardId s, std::exception_ptr e) {
+  const std::lock_guard<std::mutex> lock(error_mu_);
+  if (!error_ || s < error_shard_) {
+    error_ = std::move(e);
+    error_shard_ = s;
+  }
+}
+
+void ParallelSimulator::drain_phase(std::uint32_t thread) {
+  timed(time_threads_ ? &timing_[thread].t.busy_ns : nullptr, [this, thread] {
     const Tick end = window_end_;
-    for (ShardId s = worker; s < shards_.size(); s += workers_) {
-      drain_window(shards_[s], end);
+    // Every shard is drained even after one throws, so the set of throwing
+    // shards — and hence the lowest one, whose error run() raises — is a
+    // pure function of the window, never of which thread got there first.
+    auto drain = [this, end](ShardId s) {
+      try {
+        drain_window(shards_[s], end);
+      } catch (...) {
+        record_error(s, std::current_exception());
+      }
+    };
+    if (thread == 0) drain(0);  // the hub stays on the calling thread
+    const auto n = static_cast<std::uint32_t>(shards_.size());
+    for (;;) {
+      const std::uint32_t s = claim_.fetch_add(1, std::memory_order_relaxed);
+      if (s >= n) return;
+      drain(s);
     }
-    barrier_.arrive_and_wait();  // window complete; coordinator merges
+  });
+}
+
+void ParallelSimulator::wait_at_barrier(std::uint32_t thread) {
+  timed(time_threads_ ? &timing_[thread].t.wait_ns : nullptr,
+        [this] { barrier_.arrive_and_wait(); });
+}
+
+void ParallelSimulator::worker_loop(std::uint32_t thread) {
+  for (;;) {
+    wait_at_barrier(thread);  // caller publishes window_end_ / stop_
+    if (stop_.load(std::memory_order_acquire)) return;
+    drain_phase(thread);
+    wait_at_barrier(thread);  // window complete; the caller merges
   }
 }
 
@@ -150,25 +205,32 @@ std::uint64_t ParallelSimulator::run(Tick until) {
       merge_outboxes();
     }
   } else {
+    if (time_threads_) timing_.resize(workers_);
     stop_.store(false, std::memory_order_release);
     std::vector<std::thread> pool;
-    pool.reserve(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      pool.emplace_back([this, w] { worker_loop(w); });
+    pool.reserve(workers_ - 1);
+    for (std::uint32_t t = 1; t < workers_; ++t) {
+      pool.emplace_back([this, t] { worker_loop(t); });
     }
-    // Between barriers the coordinator is the only thread touching shard
-    // state: workers sit at the round-start rendezvous while it inspects
-    // queues, merges outboxes, and publishes the next window.
+    // Between the drain barrier and the next release the caller is the only
+    // thread touching shard state: the pool sits at the release rendezvous
+    // while it merges outboxes and picks the next window. A handler error
+    // ends the loop after its window, so the pool is stopped and joined
+    // before the error leaves run().
     while (std::optional<Tick> end = next_window(until)) {
       ++windows_;
       window_end_ = *end;
-      barrier_.arrive_and_wait();  // release workers into the window
-      barrier_.arrive_and_wait();  // wait for the drain phase
+      claim_.store(1, std::memory_order_relaxed);
+      wait_at_barrier(0);  // release the pool into the window
+      drain_phase(0);
+      wait_at_barrier(0);  // every shard drained
+      if (error_) break;
       merge_outboxes();
     }
     stop_.store(true, std::memory_order_release);
     barrier_.arrive_and_wait();
     for (std::thread& t : pool) t.join();
+    if (error_) std::rethrow_exception(error_);
   }
   for (const Shard& s : shards_) now_ = std::max(now_, s.now_);
   if (idle() && until != kMaxTick && now_ < until) now_ = until;

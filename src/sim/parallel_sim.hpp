@@ -2,7 +2,7 @@
 //
 // Each shard owns a private bucketed calendar EventQueue (sim/event_queue)
 // plus a clock and a single-writer outbox. Execution proceeds in windows:
-// the coordinator takes the globally earliest pending tick `start`, opens
+// the calling thread takes the globally earliest pending tick `start`, opens
 // the window [start, start + lookahead), and every shard drains its own
 // queue strictly inside the window with no locks — safe because the model
 // guarantees any cross-shard interaction takes at least `lookahead` ns
@@ -28,18 +28,33 @@
 // TSan job re-checks for data races).
 //
 // Threading: `workers == 1` runs the identical window/merge schedule
-// inline on the caller's thread (no threads spawned). With more workers,
-// shard s is statically owned by worker s % workers, workers run shards in
-// increasing id, and a sense-reversing spin-then-yield barrier (two
-// rendezvous per window) separates the parallel drain phase from the
-// serial merge phase.
+// inline on the caller's thread (no threads spawned). With W > 1 workers,
+// run() starts W - 1 pool threads and the calling thread is the W-th: W OS
+// threads in total drain shards between two rendezvous of a W-party
+// sense-reversing spin-then-yield barrier per window. The caller always
+// drains shard 0 — the hub (the board of a standalone engine, the fabric of
+// an array), which carries the largest share of events — so its working set
+// stays in one core's cache; then it claims shards 1..N-1 alongside the pool
+// threads from one relaxed atomic cursor, so each shard is drained exactly
+// once per window by whichever thread is free. Alone after the drain
+// barrier, the caller merges outboxes and opens the next window.
+//
+// Exceptions: a handler that throws on any thread is caught there; the
+// window still completes its barrier protocol, the pool stops and is
+// joined, and run() rethrows on the caller. When several shards throw in
+// one window, the exception of the lowest shard id wins — the same one the
+// inline mode raises — so the error never depends on thread timing. The
+// simulator's shards are then in a partially drained state: do not run it
+// again after a throw.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -120,8 +135,17 @@ class Shard {
   EventQueue queue_;
   std::function<void(Shard&)> window_flush_;
   /// Crossings produced this window, to any destination. Written only by
-  /// the worker that owns this shard; drained only by the merge phase.
+  /// the thread draining this shard in the window; drained only by the
+  /// merge phase.
   std::vector<Envelope> outbox_;
+};
+
+/// Wall-clock time one DES thread spent in the drain phase and waiting at
+/// window barriers. Recorded only when ParallelSimulator::set_thread_timing
+/// is on; host-dependent, so it stays out of every deterministic report.
+struct ThreadTime {
+  std::uint64_t busy_ns = 0;
+  std::uint64_t wait_ns = 0;
 };
 
 class ParallelSimulator {
@@ -156,14 +180,24 @@ class ParallelSimulator {
 
   /// Run windows until every shard queue drains or the earliest pending
   /// event lies beyond `until`. Returns the number of events executed by
-  /// this call across all shards.
+  /// this call across all shards. A handler exception propagates out of
+  /// run() at any worker count (see the header comment); the simulator must
+  /// not be run again afterwards.
   std::uint64_t run(Tick until = std::numeric_limits<Tick>::max());
+
+  /// Time each DES thread's drain phase and barrier waits in threaded runs
+  /// (shard-audit mode). Pure observation: no event order changes.
+  void set_thread_timing(bool on) { time_threads_ = on; }
+  /// Per-thread times accumulated over all threaded run() calls, index 0 =
+  /// the calling thread (the hub's). Empty until a timed threaded run.
+  [[nodiscard]] std::vector<ThreadTime> thread_times() const;
 
  private:
   friend class Shard;
 
-  /// Sense-reversing central barrier; spins briefly then yields, so it
-  /// stays live even when threads outnumber cores.
+  /// Sense-reversing central barrier over the W window threads (the caller
+  /// plus W - 1 pool threads); spins briefly then yields, so it stays live
+  /// even when threads outnumber cores.
   class Barrier {
    public:
     explicit Barrier(std::uint32_t parties) : parties_(parties) {}
@@ -178,7 +212,7 @@ class ParallelSimulator {
 
   /// Next window end, or nullopt when nothing remains at or before
   /// `until`. Pure function of the shards' cached next ticks — callers
-  /// must hold all workers at a barrier.
+  /// must hold all pool threads at a barrier.
   [[nodiscard]] std::optional<Tick> next_window(Tick until) const;
 
   /// Drain one shard's events with tick < window_end (the parallel phase
@@ -192,7 +226,21 @@ class ParallelSimulator {
   /// merge phase).
   void merge_outboxes();
 
-  void worker_loop(std::uint32_t worker);
+  /// One thread's share of a window: thread 0 (the caller) drains the hub
+  /// shard 0, then every thread claims shards from `claim_` until none are
+  /// left. Handler exceptions are caught and recorded, never thrown. Timed
+  /// into timing_[thread] when enabled.
+  void drain_phase(std::uint32_t thread);
+
+  /// Keep the exception of the lowest throwing shard id.
+  void record_error(ShardId s, std::exception_ptr e);
+
+  /// Barrier rendezvous, timed into timing_[thread] when enabled.
+  void wait_at_barrier(std::uint32_t thread);
+
+  /// Pool thread `thread` (1..W-1): wait for a window, drain its share,
+  /// report at the drain barrier; return when the caller publishes stop_.
+  void worker_loop(std::uint32_t thread);
 
   Tick lookahead_;
   std::uint32_t workers_;
@@ -201,12 +249,26 @@ class ParallelSimulator {
   std::uint64_t windows_ = 0;
 
   // Window-loop rendezvous state (used only when workers_ > 1). The
-  // barrier's acquire/release pairs order these plain fields: the
-  // coordinator writes before releasing workers into a window, workers
-  // read after.
+  // barrier's acquire/release pairs order these plain fields: the caller
+  // writes them before releasing the pool into a window, and every thread's
+  // drain-phase writes (shard state, error_) are visible to the caller
+  // after the drain barrier.
   Barrier barrier_;
   Tick window_end_ = 0;
   std::atomic<bool> stop_{false};
+  /// Next shard to claim in the drain phase; reset to 1 by the caller
+  /// before each window. Relaxed: fetch_add alone makes claims unique.
+  alignas(64) std::atomic<std::uint32_t> claim_{1};
+
+  std::mutex error_mu_;
+  std::exception_ptr error_;
+  ShardId error_shard_ = 0;
+
+  bool time_threads_ = false;
+  struct alignas(64) PaddedTime {
+    ThreadTime t;
+  };
+  std::vector<PaddedTime> timing_;  ///< per-thread slots, one writer each
 
   struct Crossing {
     Tick at;

@@ -10,6 +10,8 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/builder.hpp"
@@ -248,6 +250,7 @@ TEST(ParallelSim, WindowFlushFiresOncePerWindowOnEveryShard) {
   EXPECT_EQ(one, (std::vector<std::uint64_t>{4, 4, 4}));
   EXPECT_EQ(run(2), one);
   EXPECT_EQ(run(3), one);
+  EXPECT_EQ(run(8), one);  // clamps to 3 workers
 }
 
 TEST(ParallelSim, WindowFlushBatchesStraddlingAWindowLeaveOnce) {
@@ -383,6 +386,146 @@ TEST(ParallelSim, SparseManyShardWorkloadIsWorkerCountInvariant) {
     EXPECT_EQ(r.windows, one.windows) << workers << " workers";
     EXPECT_EQ(r.passes, one.passes) << workers << " workers";
   }
+}
+
+TEST(ParallelSim, HubShardDrainsOnTheCallingThread) {
+  // Shard 0 is the hub: at every worker count its events run on the thread
+  // that called run(), while the other shards keep every window busy.
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    ParallelSimulator ps(9, kLookahead, workers);
+    std::vector<std::thread::id> hub_threads;  // only shard 0 writes
+    std::function<void(ShardId, std::uint32_t)> fire = [&](ShardId s, std::uint32_t n) {
+      if (s == 0) hub_threads.push_back(std::this_thread::get_id());
+      if (n == 0) return;
+      if (n % 5 == 0) {
+        const ShardId dst = (s + 1) % ps.num_shards();
+        ps.shard(s).send(dst, kLookahead, [&fire, dst, n] { fire(dst, n - 1); });
+      } else {
+        ps.shard(s).schedule(7, [&fire, s, n] { fire(s, n - 1); });
+      }
+    };
+    for (ShardId s = 0; s < ps.num_shards(); ++s) {
+      ps.shard(s).schedule(s, [&fire, s] { fire(s, 60); });
+    }
+    ps.run();
+    ASSERT_GT(hub_threads.size(), 60u) << workers << " workers";
+    for (const std::thread::id id : hub_threads) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << workers << " workers";
+    }
+  }
+}
+
+/// Hub-heavy workload, the engine's shape: shard 0 runs most events and
+/// trades crossings with every other shard in both directions.
+struct HubRun {
+  RunResult r;
+  std::uint64_t hub_events = 0;
+  std::uint64_t to_hub = 0;    ///< crossings into shard 0
+  std::uint64_t from_hub = 0;  ///< crossings out of shard 0
+};
+
+HubRun run_hub_heavy(std::uint32_t workers) {
+  constexpr std::uint32_t kShards = 12;
+  ParallelSimulator ps(kShards, kLookahead, workers);
+  ChainState st(kShards);
+  std::vector<std::uint64_t> sent(kShards, 0);  // per-source crossings
+  std::function<void(ShardId, std::uint32_t)> fire = [&](ShardId s, std::uint32_t hops) {
+    Shard& sh = ps.shard(s);
+    st.checksum[s] = st.checksum[s] * 31 + (sh.now() ^ hops);
+    if (hops == 0) return;
+    const std::uint64_t r = st.rng[s].bounded(100);
+    if (s == 0 ? r < 15 : r < 40) {
+      // Hub fans out to a random shard; the others report back to the hub.
+      const ShardId dst =
+          s == 0 ? static_cast<ShardId>(1 + st.rng[s].bounded(kShards - 1)) : 0;
+      ++sent[s];
+      sh.send(dst, kLookahead + st.rng[s].bounded(50),
+              [&fire, dst, hops] { fire(dst, hops - 1); });
+    } else {
+      sh.schedule(1 + st.rng[s].bounded(30), [&fire, s, hops] { fire(s, hops - 1); });
+    }
+  };
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    ps.shard(0).schedule(k, [&fire] { fire(0, 300); });
+  }
+  for (ShardId s = 1; s < kShards; ++s) {
+    ps.shard(s).schedule(s, [&fire, s] { fire(s, 40); });
+  }
+  const std::uint64_t executed = ps.run();
+  HubRun h;
+  h.r = collect(ps, st, executed);
+  h.hub_events = ps.shard(0).events_executed();
+  h.from_hub = sent[0];
+  h.to_hub = std::accumulate(sent.begin() + 1, sent.end(), std::uint64_t{0});
+  return h;
+}
+
+TEST(ParallelSim, HubHeavyWorkloadIsWorkerCountInvariant) {
+  const HubRun one = run_hub_heavy(1);
+  EXPECT_GE(one.hub_events * 2, one.r.executed);  // the hub runs at least half
+  EXPECT_GT(one.to_hub, 0u);
+  EXPECT_GT(one.from_hub, 0u);
+  for (std::uint32_t workers : {2u, 3u, 4u, 8u}) {
+    const HubRun h = run_hub_heavy(workers);
+    EXPECT_EQ(h.r.checksums, one.r.checksums) << workers << " workers";
+    EXPECT_EQ(h.r.clocks, one.r.clocks) << workers << " workers";
+    EXPECT_EQ(h.r.executed, one.r.executed) << workers << " workers";
+    EXPECT_EQ(h.r.now, one.r.now) << workers << " workers";
+    EXPECT_EQ(h.r.windows, one.r.windows) << workers << " workers";
+    EXPECT_EQ(h.r.passes, one.r.passes) << workers << " workers";
+    EXPECT_EQ(h.hub_events, one.hub_events) << workers << " workers";
+  }
+}
+
+/// Runs a 9-shard workload in which every shard in `throwers` throws from
+/// its handler in the same window, and returns what run() threw.
+std::string run_throwing(std::uint32_t workers, const std::vector<ShardId>& throwers) {
+  ParallelSimulator ps(9, kLookahead, workers);
+  for (ShardId s = 0; s < ps.num_shards(); ++s) {
+    // Busy shards before, during and after the throwing window.
+    for (Tick t = 0; t < 5; ++t) ps.shard(s).schedule(t * 2 * kLookahead + s, [] {});
+  }
+  for (const ShardId s : throwers) {
+    ps.shard(s).schedule(4 * kLookahead + 10, [s] {
+      throw std::domain_error("handler on shard " + std::to_string(s) + " failed");
+    });
+  }
+  try {
+    ps.run();
+  } catch (const std::domain_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+TEST(ParallelSim, HandlerExceptionsReachTheCallerAtAnyWorkerCount) {
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(run_throwing(workers, {5}), "handler on shard 5 failed")
+        << workers << " workers";
+    EXPECT_EQ(run_throwing(workers, {0}), "handler on shard 0 failed")
+        << workers << " workers";
+    // Several shards throw in one window: the lowest shard id wins.
+    EXPECT_EQ(run_throwing(workers, {7, 3, 8}), "handler on shard 3 failed")
+        << workers << " workers";
+  }
+}
+
+TEST(ParallelSim, ThreadTimingCoversEveryThreadOnlyWhenEnabled) {
+  ParallelSimulator off(4, kLookahead, 4);
+  for (ShardId s = 0; s < 4; ++s) off.shard(s).schedule(s, [] {});
+  off.run();
+  EXPECT_TRUE(off.thread_times().empty());
+
+  ParallelSimulator on(4, kLookahead, 4);
+  on.set_thread_timing(true);
+  for (ShardId s = 0; s < 4; ++s) {
+    for (Tick t = 0; t < 20; ++t) on.shard(s).schedule(t * 2 * kLookahead, [] {});
+  }
+  on.run();
+  const std::vector<ThreadTime> times = on.thread_times();
+  ASSERT_EQ(times.size(), 4u);  // the caller plus three pool threads
+  EXPECT_GT(times[0].busy_ns, 0u);
+  for (const ThreadTime& t : times) EXPECT_GT(t.busy_ns + t.wait_ns, 0u);
 }
 
 }  // namespace
