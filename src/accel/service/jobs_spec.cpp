@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/options.hpp"
 #include "rw/model/registry.hpp"
 
 namespace fw::accel::service {
@@ -33,14 +34,14 @@ std::vector<std::string> split(const std::string& s, char sep) {
   throw std::invalid_argument("--jobs entry '" + entry + "': " + why);
 }
 
-std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
+/// `key`'s value as an unsigned integer, under the CLI's own rules (no
+/// sign, no trailing characters); the error names the whole entry.
+std::uint64_t parse_u64(const std::string& entry, const std::string& key,
+                        const std::string& v) {
   try {
-    std::size_t pos = 0;
-    const std::uint64_t r = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
-    fail(entry, "expected an integer, got '" + v + "'");
+    return OptionSet::to_u64(key, v);
+  } catch (const std::invalid_argument& e) {
+    fail(entry, e.what());
   }
 }
 
@@ -59,18 +60,18 @@ std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
 bool apply_common_key(const std::string& raw, WalkJob& job, bool& seed_set,
                       const std::string& key, const std::string& val) {
   if (key == "walks") {
-    job.spec.num_walks = parse_u64(raw, val);
+    job.spec.num_walks = parse_u64(raw, key, val);
   } else if (key == "length") {
-    job.spec.length = static_cast<std::uint32_t>(parse_u64(raw, val));
+    job.spec.length = static_cast<std::uint32_t>(parse_u64(raw, key, val));
   } else if (key == "seed") {
-    job.spec.seed = parse_u64(raw, val);
+    job.spec.seed = parse_u64(raw, key, val);
     seed_set = true;
   } else if (key == "weight") {
-    job.weight = static_cast<std::uint32_t>(parse_u64(raw, val));
+    job.weight = static_cast<std::uint32_t>(parse_u64(raw, key, val));
   } else if (key == "arrive") {
-    job.arrival = parse_u64(raw, val);
+    job.arrival = parse_u64(raw, key, val);
   } else if (key == "source") {
-    job.spec.source = static_cast<VertexId>(parse_u64(raw, val));
+    job.spec.source = static_cast<VertexId>(parse_u64(raw, key, val));
   } else if (key == "qos") {
     if (val == "bronze") {
       job.qos = QosClass::kBronze;
@@ -108,7 +109,7 @@ std::vector<WalkJob> parse_jobs(const std::string& spec,
     std::string entry = raw;
     std::uint64_t count = 1;
     if (const std::size_t star = entry.find('*'); star != std::string::npos) {
-      count = parse_u64(raw, entry.substr(0, star));
+      count = parse_u64(raw, "repeat count", entry.substr(0, star));
       if (count == 0) fail(raw, "repeat count must be >= 1");
       entry = entry.substr(star + 1);
     }

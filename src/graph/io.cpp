@@ -33,9 +33,29 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Bytes between the read position and the end of `is`. The length prefixes
+/// are checked against it, so graph binaries are read only from streams that
+/// can seek (files and string streams).
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  if (here == std::streampos(-1) || end == std::streampos(-1) || !is) {
+    throw std::runtime_error("graph binary: stream cannot seek");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// A length-prefixed array. The length comes from the file, so it is checked
+/// against the bytes the stream still holds before anything is sized: a
+/// corrupt header reads as truncation, never as a huge allocation.
 template <typename T>
 std::vector<T> read_vec(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
+  if (n > bytes_left(is) / sizeof(T)) {
+    throw std::runtime_error("graph binary: truncated array");
+  }
   std::vector<T> v(n);
   is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
   if (!is) throw std::runtime_error("graph binary: truncated array");

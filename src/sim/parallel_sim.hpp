@@ -60,15 +60,18 @@
 
 #include "common/types.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard_audit.hpp"
 
 namespace fw::sim {
 
+/// Identifies one event-queue shard. By engine convention shard 0 is the
+/// board/shared-resource shard and shard 1 + c is channel c.
+using ShardId = std::uint32_t;
+
 class ParallelSimulator;
 
-/// One event-queue shard. Handlers receive a reference to their home shard
-/// and use it exactly like the serial Simulator — plus `send` for
-/// cross-shard traffic. Constructed and owned by ParallelSimulator.
+/// One event-queue shard: a clock plus a private queue, scheduled locally
+/// with `schedule`/`schedule_at` and across shards with `send`.
+/// Constructed and owned by ParallelSimulator.
 class Shard {
  public:
   Shard() = default;
@@ -86,7 +89,7 @@ class Shard {
   void schedule(Tick delay, EventFn fn) { push(now_ + delay, std::move(fn)); }
 
   /// Schedule on this shard at absolute tick `at` (clamped to the shard
-  /// clock, like Simulator::schedule_at).
+  /// clock, so an event never fires in the shard's past).
   void schedule_at(Tick at, EventFn fn) { push(at < now_ ? now_ : at, std::move(fn)); }
 
   /// Schedule on shard `dst`, `delay` ns from this shard's clock. A
@@ -167,8 +170,8 @@ class ParallelSimulator {
   [[nodiscard]] Tick lookahead() const { return lookahead_; }
   [[nodiscard]] std::uint32_t workers() const { return workers_; }
 
-  /// Global completed-through time: the latest shard clock after run()
-  /// (clamped up to `until`, matching Simulator::run).
+  /// Global completed-through time: the latest shard clock after run(),
+  /// advanced to `until` when the run drained every queue before it.
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::uint64_t events_executed() const;

@@ -3,8 +3,11 @@
 // scaled Table IV dataset registry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -12,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/io.hpp"
+#include "partition/io.hpp"
 
 namespace fw::graph {
 namespace {
@@ -232,6 +236,74 @@ TEST(Io, BinaryRejectsBadMagic) {
   std::stringstream ss;
   ss << "NOTAGRAPH-------";
   EXPECT_THROW(load_binary(ss), std::runtime_error);
+}
+
+/// Graph-binary bytes whose offsets header claims 2^50 entries (8 PiB)
+/// followed by a few real bytes: a corrupt length, not a real array.
+std::string oversized_offsets_header() {
+  std::string bytes = "FWGRAPH1";
+  const std::uint64_t n = std::uint64_t{1} << 50;
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  bytes.append(16, '\0');
+  return bytes;
+}
+
+/// Fails the test unless `fn` throws a runtime_error that says "truncated".
+template <class F>
+void expect_truncated(F&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    return;
+  }
+  ADD_FAILURE() << "no runtime_error thrown";
+}
+
+TEST(Io, BinaryRejectsOversizedArrayLengthAsTruncated) {
+  std::stringstream ss(oversized_offsets_header());
+  expect_truncated([&] { (void)load_binary(ss); });
+}
+
+TEST(Io, PartitionBundleRejectsOversizedGraphArrayAsTruncated) {
+  std::string bytes = "FWPART01";
+  auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint64_t{16384});  // block capacity
+  put(std::uint32_t{2048});   // subgraphs per partition
+  put(std::uint32_t{64});     // subgraphs per range
+  put(std::uint8_t{0});       // unweighted
+  put(std::uint64_t{1});      // expected subgraphs
+  put(std::uint64_t{1});      // expected partitions
+  bytes += oversized_offsets_header();
+  std::stringstream ss(bytes);
+  expect_truncated([&] { (void)partition::load_partitioned(ss); });
+}
+
+/// A read-only stream buffer that cannot seek, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(Io, BinaryRejectsUnseekableStream) {
+  // Length prefixes are checked against the bytes left, which needs a seek.
+  std::stringstream ss;
+  save_binary(triangle(), ss);
+  PipeBuf pipe(ss.str());
+  std::istream is(&pipe);
+  try {
+    (void)load_binary(is);
+    ADD_FAILURE() << "no runtime_error thrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot seek"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Io, EdgeListRoundTrip) {

@@ -175,7 +175,7 @@ TEST(ParallelSim, RunUntilBoundsExecutionAndResumes) {
   EXPECT_EQ(ps.run(100), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(ps.idle());
-  // Like Simulator::run, the clock rests on the last executed event while
+  // The clock rests on the last executed event while
   // work remains pending beyond the bound.
   EXPECT_EQ(ps.now(), 10u);
   EXPECT_EQ(ps.run(), 1u);

@@ -369,6 +369,10 @@ TEST(JobsSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(service::parse_jobs("metapath:pattern=", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("ppr:stop_mode=sideways", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("ppr:eps=1.0", {}), std::invalid_argument);
+  // Unsigned keys reject a sign instead of wrapping modulo 2^64.
+  EXPECT_THROW(service::parse_jobs("deepwalk:walks=-5", {}), std::invalid_argument);
+  EXPECT_THROW(service::parse_jobs("deepwalk:length=-1", {}), std::invalid_argument);
+  EXPECT_THROW(service::parse_jobs("deepwalk:seed=-1", {}), std::invalid_argument);
 }
 
 std::string parse_error(const std::string& spec) {

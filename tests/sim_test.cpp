@@ -1,13 +1,14 @@
-// Unit tests for the DES kernel: event queue ordering, simulator clock,
-// contention primitives, timeline recorder.
+// Unit tests for the DES kernel: event queue ordering, the simulator clock
+// (on a one-shard ParallelSimulator), contention primitives, timeline
+// recorder.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/resource.hpp"
-#include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
 
 namespace fw::sim {
@@ -33,56 +34,55 @@ TEST(EventQueue, EqualTicksFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+/// Window length of the one-shard simulators below. With a single shard
+/// there are no crossings, so it only sets how many windows a run takes.
+constexpr Tick kLookahead = 16;
+
 TEST(Simulator, ClockAdvancesToEventTime) {
-  Simulator sim;
+  ParallelSimulator ps(1, kLookahead);
+  Shard& sh = ps.shard(0);
   Tick seen = 0;
-  sim.schedule(100, [&] { seen = sim.now(); });
-  sim.run();
+  sh.schedule(100, [&] { seen = sh.now(); });
+  ps.run();
   EXPECT_EQ(seen, 100u);
-  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(ps.now(), 100u);
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
+  ParallelSimulator ps(1, kLookahead);
+  Shard& sh = ps.shard(0);
   int fired = 0;
-  sim.schedule(10, [&] {
+  sh.schedule(10, [&] {
     ++fired;
-    sim.schedule(10, [&] { ++fired; });
+    sh.schedule(10, [&] { ++fired; });
   });
-  sim.run();
+  ps.run();
   EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_EQ(ps.now(), 20u);
 }
 
 TEST(Simulator, RunUntilStopsEarly) {
-  Simulator sim;
+  ParallelSimulator ps(1, kLookahead);
+  Shard& sh = ps.shard(0);
   int fired = 0;
-  sim.schedule(10, [&] { ++fired; });
-  sim.schedule(100, [&] { ++fired; });
-  sim.run(50);
+  sh.schedule(10, [&] { ++fired; });
+  sh.schedule(100, [&] { ++fired; });
+  EXPECT_EQ(ps.run(50), 1u);
   EXPECT_EQ(fired, 1);
-  sim.run();
+  EXPECT_EQ(ps.run(), 1u);
   EXPECT_EQ(fired, 2);
 }
 
 TEST(Simulator, ScheduleAtClampsToNow) {
-  Simulator sim;
-  sim.schedule(100, [&] {
-    sim.schedule_at(50, [] {});  // in the past: clamped
+  ParallelSimulator ps(1, kLookahead);
+  Shard& sh = ps.shard(0);
+  Tick seen = 0;
+  sh.schedule(100, [&] {
+    sh.schedule_at(50, [&] { seen = sh.now(); });  // in the past: clamped
   });
-  sim.run();
-  EXPECT_EQ(sim.now(), 100u);
-}
-
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1, [&] { ++fired; });
-  sim.schedule(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
+  ps.run();
+  EXPECT_EQ(seen, 100u);
+  EXPECT_EQ(ps.now(), 100u);
 }
 
 TEST(SerialResource, FifoQueuing) {
@@ -144,12 +144,13 @@ TEST(TimelineRecorder, IgnoresNonAdvancingSample) {
 
 TEST(Determinism, SameScheduleSameTrace) {
   auto run_once = [] {
-    Simulator sim;
+    ParallelSimulator ps(1, kLookahead);
+    Shard& sh = ps.shard(0);
     std::vector<Tick> trace;
     for (int i = 0; i < 100; ++i) {
-      sim.schedule((i * 37) % 50, [&trace, &sim] { trace.push_back(sim.now()); });
+      sh.schedule((i * 37) % 50, [&trace, &sh] { trace.push_back(sh.now()); });
     }
-    sim.run();
+    ps.run();
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
