@@ -36,6 +36,7 @@
 #include "graph/io.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "rw/walk.hpp"
 #include "ssd/reliability/options.hpp"
 
 using namespace fw;
@@ -222,6 +223,11 @@ CliOptions parse(int argc, char** argv) {
   if (o.devices > 1 && !o.run_fw) {
     std::cerr << "--devices applies to the FlashWalker engine; include fw in "
                  "--engines\n";
+    std::exit(2);
+  }
+  if (o.length > rw::kMaxWalkLength) {
+    std::cerr << "--length: at most " << rw::kMaxWalkLength
+              << " hops (a walk's hop counter is 16 bits)\n";
     std::exit(2);
   }
   if (o.labels > 255) {

@@ -56,6 +56,7 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
   for (auto& def : job_defs) {
     JobRt jc;
     jc.job = std::move(def);
+    rw::check_walk_length(jc.job.spec.length);
     // Resolve the job's walk model from the registry; throws for an
     // unknown model name or invalid model parameters.
     jc.model = rw::create_model(jc.job.spec);

@@ -1,6 +1,7 @@
 #include "accel/service/jobs_spec.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -8,6 +9,7 @@
 
 #include "common/options.hpp"
 #include "rw/model/registry.hpp"
+#include "rw/walk.hpp"
 
 namespace fw::accel::service {
 namespace {
@@ -45,6 +47,16 @@ std::uint64_t parse_u64(const std::string& entry, const std::string& key,
   }
 }
 
+/// `parse_u64` for keys kept in 32-bit fields: a value above `max` is an
+/// error naming the key, never a silent narrowing.
+std::uint32_t parse_u32(const std::string& entry, const std::string& key,
+                        const std::string& v,
+                        std::uint32_t max = std::numeric_limits<std::uint32_t>::max()) {
+  const std::uint64_t r = parse_u64(entry, key, v);
+  if (r > max) fail(entry, key + ": " + v + " exceeds the maximum " + std::to_string(max));
+  return static_cast<std::uint32_t>(r);
+}
+
 /// "unknown key 'x' for model 'm' (model keys: ...; common keys: ...)".
 [[noreturn]] void fail_unknown_key(const std::string& entry, const std::string& key,
                                    const rw::ModelInfo& info) {
@@ -62,12 +74,12 @@ bool apply_common_key(const std::string& raw, WalkJob& job, bool& seed_set,
   if (key == "walks") {
     job.spec.num_walks = parse_u64(raw, key, val);
   } else if (key == "length") {
-    job.spec.length = static_cast<std::uint32_t>(parse_u64(raw, key, val));
+    job.spec.length = parse_u32(raw, key, val, rw::kMaxWalkLength);
   } else if (key == "seed") {
     job.spec.seed = parse_u64(raw, key, val);
     seed_set = true;
   } else if (key == "weight") {
-    job.weight = static_cast<std::uint32_t>(parse_u64(raw, key, val));
+    job.weight = parse_u32(raw, key, val);
   } else if (key == "arrive") {
     job.arrival = parse_u64(raw, key, val);
   } else if (key == "source") {

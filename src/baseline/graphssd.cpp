@@ -40,6 +40,7 @@ class PageLru {
 
 GraphSsdEngine::GraphSsdEngine(const graph::CsrGraph& graph, GraphSsdOptions options)
     : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+  rw::check_walk_length(opt_.spec.length);
   flash_ = std::make_unique<ssd::FlashArray>(opt_.ssd);
   ssd_ = std::make_unique<ssd::SsdDevice>(*flash_);
   nvme_ = std::make_unique<ssd::NvmeInterface>(*ssd_, opt_.nvme);

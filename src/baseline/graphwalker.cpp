@@ -9,6 +9,7 @@ namespace fw::baseline {
 GraphWalkerEngine::GraphWalkerEngine(const graph::CsrGraph& graph,
                                      GraphWalkerOptions options)
     : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+  rw::check_walk_length(opt_.spec.length);
   partition::PartitionConfig pc;
   pc.block_capacity_bytes = opt_.host.block_bytes;
   pc.subgraphs_per_partition = 1u << 30;  // GraphWalker has no partitions

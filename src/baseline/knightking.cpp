@@ -8,6 +8,7 @@ namespace fw::baseline {
 KnightKingEngine::KnightKingEngine(const graph::CsrGraph& graph,
                                    KnightKingOptions options)
     : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+  rw::check_walk_length(opt_.spec.length);
   if (opt_.workers == 0) throw std::invalid_argument("KnightKing: zero workers");
   vertices_per_worker_ =
       (graph.num_vertices() + opt_.workers - 1) / opt_.workers;

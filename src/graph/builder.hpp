@@ -30,6 +30,10 @@ class GraphBuilder {
   /// it throw.
   explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
 
+  /// Pre-size the edge buffer for callers that know their edge count, so
+  /// doubling growth leaves no freed buffers behind in the heap.
+  void reserve(std::size_t num_edges) { edges_.reserve(num_edges); }
+
   void add_edge(VertexId src, VertexId dst, float weight = 1.0f);
   void add_edges(const std::vector<Edge>& edges);
 

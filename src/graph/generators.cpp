@@ -25,6 +25,7 @@ CsrGraph generate_rmat(const RmatParams& params) {
   const int levels = std::countr_zero(n);
   Xoshiro256 rng(params.seed);
   GraphBuilder builder(n);
+  builder.reserve(params.num_edges);
 
   const double d = 1.0 - params.a - params.b - params.c;
   for (EdgeId e = 0; e < params.num_edges; ++e) {
@@ -62,6 +63,7 @@ CsrGraph generate_rmat(const RmatParams& params) {
 CsrGraph generate_erdos_renyi(const ErdosRenyiParams& params) {
   Xoshiro256 rng(params.seed);
   GraphBuilder builder(params.num_vertices);
+  builder.reserve(params.num_edges);
   for (EdgeId e = 0; e < params.num_edges; ++e) {
     const VertexId src = rng.bounded(params.num_vertices);
     const VertexId dst = rng.bounded(params.num_vertices);
@@ -123,6 +125,7 @@ CsrGraph generate_zipf(const ZipfParams& params) {
 
   ZipfSampler dst_sampler(n, params.exponent * 0.75);  // milder in-degree skew
   GraphBuilder builder(n);
+  builder.reserve(params.num_edges);
   for (VertexId v = 0; v < n; ++v) {
     for (EdgeId e = 0; e < out_degree[v]; ++e) {
       VertexId dst = perm[dst_sampler.sample(rng)];

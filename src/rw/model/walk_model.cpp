@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -231,10 +232,10 @@ double model_f64(std::string_view key, const std::string& v) {
   try {
     std::size_t pos = 0;
     const double r = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
+    if (pos != v.size() || !std::isfinite(r)) throw std::invalid_argument(v);
     return r;
   } catch (const std::exception&) {
-    bad_value(key, "expected a number, got '" + v + "'");
+    bad_value(key, "expected a finite number, got '" + v + "'");
   }
 }
 

@@ -9,6 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/types.hpp"
 
@@ -52,6 +55,20 @@ struct Walk {
 
   [[nodiscard]] bool finished() const { return hops_left == 0; }
 };
+
+/// Longest walk a `Walk` can carry: its hop counter is `hops_left`.
+inline constexpr std::uint32_t kMaxWalkLength =
+    std::numeric_limits<decltype(Walk::hops_left)>::max();
+
+/// Every engine calls this before seeding walks: a longer walk would wrap
+/// the hop counter and silently stop early.
+inline void check_walk_length(std::uint32_t length) {
+  if (length > kMaxWalkLength) {
+    throw std::invalid_argument("length: " + std::to_string(length) +
+                                " exceeds the longest walk an engine can carry (" +
+                                std::to_string(kMaxWalkLength) + " hops)");
+  }
+}
 
 /// On-flash / in-buffer footprint of one walk: src + cur + hop counter.
 /// Dense walks stored in a dense subgraph's buffer entry omit `cur` (it is

@@ -16,23 +16,19 @@ FlashArray::FlashArray(const SsdConfig& config)
   if (config_.reliability.enabled()) {
     rel_ = std::make_unique<reliability::ReliabilityModel>(config_.reliability,
                                                            config_.topo.page_bytes);
-    block_pe_.assign(static_cast<std::size_t>(config_.topo.total_planes()) *
-                         config_.topo.blocks_per_plane,
-                     0);
+    block_pe_ = BlockTable<std::uint32_t>(static_cast<std::size_t>(config_.topo.total_planes()) *
+                                          config_.topo.blocks_per_plane);
   }
 }
 
 std::uint32_t FlashArray::pe_of(const FlashAddress& a) const {
-  if (block_pe_.empty()) return 0;
-  return block_pe_[static_cast<std::size_t>(amap_.plane_index(a)) *
-                       config_.topo.blocks_per_plane +
-                   a.block];
+  return block_pe(amap_.plane_index(a), a.block);
 }
 
 std::uint32_t FlashArray::block_pe(std::uint32_t plane_index, std::uint32_t block) const {
-  if (block_pe_.empty()) return 0;
-  return block_pe_[static_cast<std::size_t>(plane_index) * config_.topo.blocks_per_plane +
-                   block];
+  if (rel_ == nullptr) return 0;
+  return block_pe_.get(static_cast<std::size_t>(plane_index) * config_.topo.blocks_per_plane +
+                       block);
 }
 
 void FlashArray::attach_observability(obs::CounterRegistry* registry) {
@@ -254,9 +250,9 @@ OpResult FlashArray::erase_block_checked(Tick now, const FlashAddress& addr) {
     if (c_erase_fail_ != nullptr) c_erase_fail_->add(1);
   }
   // Wear advances on failure too — the cycle stressed the cells either way.
-  block_pe_[static_cast<std::size_t>(amap_.plane_index(addr)) *
-                config_.topo.blocks_per_plane +
-            addr.block] += 1;
+  block_pe_.mut(static_cast<std::size_t>(amap_.plane_index(addr)) *
+                    config_.topo.blocks_per_plane +
+                addr.block) += 1;
   return out;
 }
 

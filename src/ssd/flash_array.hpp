@@ -23,6 +23,7 @@
 
 #include "sim/resource.hpp"
 #include "ssd/address.hpp"
+#include "ssd/block_table.hpp"
 #include "ssd/config.hpp"
 #include "ssd/reliability/reliability_model.hpp"
 
@@ -164,7 +165,7 @@ class FlashArray {
   std::uint64_t page_reads_ = 0;
 
   std::unique_ptr<reliability::ReliabilityModel> rel_;  ///< null = ideal NAND
-  std::vector<std::uint32_t> block_pe_;  ///< wear, plane-major (model on only)
+  BlockTable<std::uint32_t> block_pe_;  ///< wear, plane-major (model on only)
   ReliabilityStats rel_stats_;
   obs::Counter* c_retried_ = nullptr;
   obs::Counter* c_retries_ = nullptr;

@@ -21,14 +21,15 @@ Ftl::Ftl(FlashArray& flash, std::uint32_t reserved_blocks_per_plane)
   usable_blocks_ = topo.blocks_per_plane - reserved_;
   planes_.resize(topo.total_planes());
   for (auto& p : planes_) {
-    p.blocks.resize(usable_blocks_);
+    p.blocks = BlockTable<BlockState>(usable_blocks_);
     p.active_block = 0;
     // The last usable block is the GC copy-back spare: relocated pages land
     // there, which keeps GC strictly in-plane. A one-block plane has no
     // spare (and thus no way to relocate valid data).
     if (usable_blocks_ >= 2) p.spare_block = usable_blocks_ - 1;
     const std::uint32_t free_end = usable_blocks_ >= 2 ? usable_blocks_ - 1 : usable_blocks_;
-    for (std::uint32_t b = 1; b < free_end; ++b) p.free_blocks.push_back(b);
+    p.free_blocks.next_fresh = 1;  // block 0 opens as the active block
+    p.free_blocks.fresh_end = free_end;
   }
 }
 
@@ -70,7 +71,7 @@ std::pair<std::uint64_t, Tick> Ftl::allocate(Tick now) {
 
   PlaneState& ps = planes_[plane_index];
   Tick ready = now;
-  BlockState* active = &ps.blocks[ps.active_block];
+  BlockState* active = &ps.blocks.mut(ps.active_block);
   if (active->written >= topo.pages_per_block) {
     // Each successful GC pass erases one block; it may rotate into the
     // spare instead of landing on the free list, so keep collecting while
@@ -94,7 +95,7 @@ std::pair<std::uint64_t, Tick> Ftl::allocate(Tick now) {
     }
     ps.active_block = ps.free_blocks.front();
     ps.free_blocks.pop_front();
-    active = &ps.blocks[ps.active_block];
+    active = &ps.blocks.mut(ps.active_block);
   }
 
   FlashAddress addr = plane_address(plane_index);
@@ -112,36 +113,38 @@ std::uint32_t Ftl::find_victim(std::uint32_t plane_index, bool idle) const {
   const std::uint32_t spare_room =
       ps.spare_block == kNone
           ? 0
-          : topo.pages_per_block - ps.blocks[ps.spare_block].written;
+          : topo.pages_per_block - ps.blocks.get(ps.spare_block).written;
   std::uint32_t victim = kNone;
   std::uint32_t victim_valid = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t victim_erases = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t b = 0; b < ps.blocks.size(); ++b) {
-    if (b == ps.spare_block) continue;
-    if (bbm_.is_bad(plane_index, b)) continue;  // retired: never erase again
-    const BlockState& bs = ps.blocks[b];
+  // Blocks in never-allocated chunks have written == 0 and are skipped by
+  // the scan below anyway, so visiting allocated chunks only is exact.
+  ps.blocks.for_each_allocated([&](std::size_t i, const BlockState& bs) {
+    const auto b = static_cast<std::uint32_t>(i);
+    if (b == ps.spare_block) return;
+    if (bbm_.is_bad(plane_index, b)) return;  // retired: never erase again
     // The open (active) block is off-limits while pages can still land in
     // it; once full it is sealed de facto and collectible under space
     // pressure (`allocate` re-opens on a fresh block right after). Idle GC
     // seals the open block itself, with the reassignment done first.
-    if (b == ps.active_block && (idle || bs.written != topo.pages_per_block)) continue;
-    if (bs.written == 0) continue;
+    if (b == ps.active_block && (idle || bs.written != topo.pages_per_block)) return;
+    if (bs.written == 0) return;
     const std::uint32_t invalid = bs.written - bs.valid;
     if (idle) {
       // Background compaction is worth an erase once half the block's
       // written pages are garbage.
-      if (invalid < std::max(1u, bs.written / 2)) continue;
+      if (invalid < std::max(1u, bs.written / 2)) return;
     } else {
-      if (bs.written != topo.pages_per_block || invalid == 0) continue;
+      if (bs.written != topo.pages_per_block || invalid == 0) return;
     }
-    if (bs.valid > spare_room) continue;  // relocations must fit in the spare
+    if (bs.valid > spare_room) return;  // relocations must fit in the spare
     if (bs.valid < victim_valid ||
         (bs.valid == victim_valid && bs.erases < victim_erases)) {
       victim = b;
       victim_valid = bs.valid;
       victim_erases = bs.erases;
     }
-  }
+  });
   return victim;
 }
 
@@ -153,7 +156,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
 
   const auto& topo = flash_.config().topo;
   PlaneState& ps = planes_[plane_index];
-  BlockState& vb = ps.blocks[victim];
+  BlockState& vb = ps.blocks.mut(victim);
 
   FlashAddress victim_addr = plane_address(plane_index);
   victim_addr.block = reserved_ + victim;
@@ -171,7 +174,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     if (it == p2l_.end()) continue;
     const std::uint64_t lpn = it->second;
     assert(ps.spare_block != kNone && "Ftl: relocation with no spare block");
-    BlockState& sb = ps.blocks[ps.spare_block];
+    BlockState& sb = ps.blocks.mut(ps.spare_block);
     FlashAddress new_addr = victim_addr;
     new_addr.block = reserved_ + ps.spare_block;
     new_addr.page = sb.written;
@@ -232,7 +235,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     // to a regular block and pull a replacement from the free list (degraded
     // `kNone` spare if the plane has none to give).
     if (ps.spare_block != kNone &&
-        ps.blocks[ps.spare_block].written == topo.pages_per_block) {
+        ps.blocks.get(ps.spare_block).written == topo.pages_per_block) {
       while (!ps.free_blocks.empty() &&
              bbm_.is_bad(plane_index, ps.free_blocks.front())) {
         ps.free_blocks.pop_front();
@@ -256,7 +259,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     //   - empty: swap roles and push the old spare to the free list;
     //   - partially filled: keep it as the spare so it can absorb more
     //     relocations, and free the victim.
-    const BlockState& sb = ps.blocks[ps.spare_block];
+    const BlockState& sb = ps.blocks.get(ps.spare_block);
     if (sb.written == topo.pages_per_block) {
       ps.spare_block = victim;
     } else if (sb.written == 0) {
@@ -287,7 +290,7 @@ void Ftl::retire_block(std::uint32_t plane_index, std::uint32_t rel_block,
   // Seal the block so the allocator treats it as full; `find_victim` and
   // the free-list filters consult the manager directly. Pages it still
   // holds stay mapped and readable — they are just never relocated.
-  planes_[plane_index].blocks[rel_block].written = flash_.config().topo.pages_per_block;
+  planes_[plane_index].blocks.mut(rel_block).written = flash_.config().topo.pages_per_block;
   if (c_bad_blocks_ != nullptr) c_bad_blocks_->add();
 }
 
@@ -314,11 +317,11 @@ Tick Ftl::idle_gc(Tick now, std::uint32_t max_episodes) {
         // if it is fragmented enough, the way background GC closes open
         // blocks on a real drive. Needs a free block to re-open and spare
         // room for the survivors.
-        const BlockState& ab = ps.blocks[ps.active_block];
+        const BlockState& ab = ps.blocks.get(ps.active_block);
         const std::uint32_t spare_room =
             ps.spare_block == kNone
                 ? 0
-                : topo.pages_per_block - ps.blocks[ps.spare_block].written;
+                : topo.pages_per_block - ps.blocks.get(ps.spare_block).written;
         if (ab.written == 0 || ab.written - ab.valid < std::max(1u, ab.written / 2) ||
             ab.valid > spare_room || ps.free_blocks.empty()) {
           break;
@@ -341,10 +344,13 @@ FtlStats Ftl::stats() const {
   std::uint32_t min_erases = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t max_erases = 0;
   for (const PlaneState& ps : planes_) {
-    for (const BlockState& bs : ps.blocks) {
+    // Only GC erases, and only blocks it collected, so a block in a chunk
+    // never allocated has never been erased.
+    if (!ps.blocks.fully_allocated()) min_erases = 0;
+    ps.blocks.for_each_allocated([&](std::size_t, const BlockState& bs) {
       min_erases = std::min(min_erases, bs.erases);
       max_erases = std::max(max_erases, bs.erases);
-    }
+    });
   }
   stats_.min_block_erases = planes_.empty() ? 0 : min_erases;
   stats_.max_block_erases = max_erases;
@@ -356,6 +362,14 @@ std::uint64_t Ftl::host_capacity_pages() const {
   const auto& topo = flash_.config().topo;
   const std::uint32_t data_blocks = usable_blocks_ >= 2 ? usable_blocks_ - 1 : usable_blocks_;
   return static_cast<std::uint64_t>(planes_.size()) * data_blocks * topo.pages_per_block;
+}
+
+std::size_t Ftl::state_bytes() const {
+  std::size_t bytes = planes_.capacity() * sizeof(PlaneState);
+  for (const PlaneState& ps : planes_) {
+    bytes += ps.blocks.bytes() + ps.free_blocks.recycled.size() * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 
 std::uint64_t Ftl::physical_of(std::uint64_t lpn) const {
@@ -372,8 +386,8 @@ Tick Ftl::write_page(Tick now, std::uint64_t lpn, bool over_channel) {
     const std::uint32_t plane_index = flash_.address_map().plane_index(addr);
     PlaneState& ps = planes_[plane_index];
     const std::uint32_t rel_block = addr.block - reserved_;
-    if (rel_block < ps.blocks.size() && ps.blocks[rel_block].valid > 0) {
-      --ps.blocks[rel_block].valid;
+    if (rel_block < ps.blocks.size() && ps.blocks.get(rel_block).valid > 0) {
+      --ps.blocks.mut(rel_block).valid;
     }
     p2l_.erase(old->second);
   }
@@ -401,7 +415,7 @@ Tick Ftl::write_page(Tick now, std::uint64_t lpn, bool over_channel) {
     // block; the next attempt allocates from a different plane.
     const std::uint32_t plane_index = flash_.address_map().plane_index(addr);
     const std::uint32_t rel_block = addr.block - reserved_;
-    --planes_[plane_index].blocks[rel_block].valid;
+    --planes_[plane_index].blocks.mut(rel_block).valid;
     retire_block(plane_index, rel_block, reliability::RetireReason::kProgramFail);
   }
   throw std::runtime_error("Ftl: page program failed on every replacement block");

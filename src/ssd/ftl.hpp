@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ssd/block_table.hpp"
 #include "ssd/flash_array.hpp"
 #include "ssd/reliability/bad_block.hpp"
 
@@ -90,6 +91,10 @@ class Ftl {
   }
   /// Pages the host can keep live at once (spare blocks excluded).
   [[nodiscard]] std::uint64_t host_capacity_pages() const;
+  /// Heap bytes of per-block and free-list state held so far (the L2P/P2L
+  /// maps excluded). Grows with the blocks a run writes, not with the
+  /// device; a diagnostic, not a counter.
+  [[nodiscard]] std::size_t state_bytes() const;
 
   /// Mirror FTL activity into live counters (`ftl.*`) and record one trace
   /// span per GC episode. Both pointers may be null; pass the pair that is
@@ -105,11 +110,34 @@ class Ftl {
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  /// Free blocks in allocation order: never-used blocks ascending from
+  /// `next_fresh`, then erased blocks in the order they were freed. Blocks
+  /// are only ever appended after the fresh range was laid out, so this is
+  /// the FIFO a pre-filled deque of every block would be.
+  struct FreeBlocks {
+    std::uint32_t next_fresh = 0;
+    std::uint32_t fresh_end = 0;
+    std::deque<std::uint32_t> recycled;
+
+    [[nodiscard]] bool empty() const { return next_fresh == fresh_end && recycled.empty(); }
+    [[nodiscard]] std::uint32_t front() const {
+      return next_fresh != fresh_end ? next_fresh : recycled.front();
+    }
+    void pop_front() {
+      if (next_fresh != fresh_end) {
+        ++next_fresh;
+      } else {
+        recycled.pop_front();
+      }
+    }
+    void push_back(std::uint32_t block) { recycled.push_back(block); }
+  };
+
   struct PlaneState {
-    std::vector<BlockState> blocks;  ///< indexed by block - reserved
+    BlockTable<BlockState> blocks;  ///< indexed by block - reserved
     std::uint32_t active_block = 0;
     std::uint32_t spare_block = kNone;  ///< GC copy-back destination
-    std::deque<std::uint32_t> free_blocks;
+    FreeBlocks free_blocks;
     std::uint32_t trace_track = kNone;  ///< lazily registered GC lane
   };
 

@@ -6,7 +6,9 @@
 #include <numeric>
 
 #include "baseline/drunkardmob.hpp"
+#include "baseline/graphssd.hpp"
 #include "baseline/graphwalker.hpp"
+#include "baseline/knightking.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 
@@ -194,6 +196,43 @@ TEST(DrunkardMob, WalkWriteTrafficEveryIteration) {
   const auto r = engine.run();
   EXPECT_GT(r.bytes_written, 0u);
   EXPECT_GT(r.breakdown.walk_write, 0u);
+}
+
+// --- Walk length -------------------------------------------------------------
+
+TEST(BaselineWalkLength, EveryEngineRejectsWalksLongerThanTheHopCounter) {
+  // A walk's hop counter is 16 bits; a longer length used to wrap and end
+  // walks early. Every baseline refuses it at construction, naming the key.
+  const auto g = graph::make_dataset(graph::DatasetId::TT, graph::Scale::kTest);
+  for (const std::uint32_t length : {rw::kMaxWalkLength + 1, 0xffffffffu}) {
+    rw::WalkSpec spec;
+    spec.num_walks = 10;
+    spec.length = length;
+    GraphWalkerOptions gw = gw_opts(10);
+    gw.spec = spec;
+    DrunkardMobOptions dm;
+    dm.spec = spec;
+    GraphSsdOptions gs;
+    gs.spec = spec;
+    KnightKingOptions kk;
+    kk.spec = spec;
+    auto names_key = [](auto make) {
+      try {
+        make();
+      } catch (const std::invalid_argument& e) {
+        return std::string(e.what()).rfind("length: ", 0) == 0;
+      }
+      return false;
+    };
+    EXPECT_TRUE(names_key([&] { GraphWalkerEngine e(g, gw); }));
+    EXPECT_TRUE(names_key([&] { DrunkardMobEngine e(g, dm); }));
+    EXPECT_TRUE(names_key([&] { GraphSsdEngine e(g, gs); }));
+    EXPECT_TRUE(names_key([&] { KnightKingEngine e(g, kk); }));
+  }
+  // The longest representable walk is accepted.
+  GraphWalkerOptions ok = gw_opts(10);
+  ok.spec.length = rw::kMaxWalkLength;
+  EXPECT_NO_THROW(GraphWalkerEngine(g, ok));
 }
 
 }  // namespace

@@ -376,5 +376,25 @@ TEST(EngineWrites, WriteTrafficIsSmallVsReads) {
   EXPECT_LT(r.flash_write_bytes, r.flash_read_bytes / 2);
 }
 
+TEST_F(EngineBasic, RejectsWalksLongerThanTheHopCounter) {
+  // `Walk::hops_left` is 16 bits: 65536 hops used to wrap to 0 and end
+  // every walk at once. Single-spec and multi-job engines both refuse it.
+  EngineOptions o = small_opts(10);
+  o.spec.length = rw::kMaxWalkLength + 1;
+  EXPECT_THROW((void)SimulationBuilder(pg_).options(o).build(), std::invalid_argument);
+
+  EngineOptions jobs = small_opts(10);
+  service::WalkJob j;
+  j.spec = jobs.spec;
+  j.spec.length = 0xffffffffu;
+  jobs.jobs.push_back(j);
+  try {
+    (void)SimulationBuilder(pg_).options(jobs).build();
+    ADD_FAILURE() << "a 2^32-1 hop job was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("length: ", 0), 0u) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace fw::accel

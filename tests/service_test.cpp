@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/builder.hpp"
@@ -411,9 +412,34 @@ TEST(JobsSpec, UnknownKeyErrorListsModelAndCommonKeys) {
 }
 
 TEST(JobsSpec, ModelValueErrorsNameTheEntryAndKey) {
-  const std::string alpha = parse_error("autoreg:alpha=1.5");
-  EXPECT_NE(alpha.find("--jobs entry 'autoreg:alpha=1.5'"), std::string::npos) << alpha;
-  EXPECT_NE(alpha.find("key 'alpha'"), std::string::npos) << alpha;
+  // std::stod accepts nan and inf, and NaN slips past every `<=`/`>=`
+  // range check, so non-finite values are rejected up front.
+  const std::pair<const char*, const char*> cases[] = {
+      {"autoreg:alpha=1.5", "key 'alpha'"}, {"node2vec:p=nan", "key 'p'"},
+      {"node2vec:q=inf", "key 'q'"},        {"autoreg:alpha=nan", "key 'alpha'"},
+      {"ppr:eps=inf", "key 'eps'"},         {"ppr:eps=nan", "key 'eps'"},
+      {"ppr:stop=nan", "key 'stop'"},
+  };
+  for (const auto& [spec, key] : cases) {
+    const std::string what = parse_error(spec);
+    EXPECT_NE(what.find("--jobs entry '" + std::string(spec) + "'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+TEST(JobsSpec, RejectsValuesWiderThanTheirField) {
+  // `length` feeds a 16-bit hop counter and `weight` a u32: both used to be
+  // narrowed silently (length=4294967297 ran as length 1).
+  for (const char* spec : {"deepwalk:length=65536", "deepwalk:length=4294967297"}) {
+    const std::string what = parse_error(spec);
+    EXPECT_NE(what.find("length: "), std::string::npos) << what;
+  }
+  const std::string weight = parse_error("deepwalk:weight=4294967297");
+  EXPECT_NE(weight.find("weight: "), std::string::npos) << weight;
+  // The widest values each field holds still parse.
+  EXPECT_EQ(service::parse_jobs("deepwalk:length=65535", {})[0].spec.length, 65535u);
+  EXPECT_EQ(service::parse_jobs("deepwalk:weight=4294967295", {})[0].weight, 4294967295u);
 }
 
 TEST(JobsSpec, HelpTextIsGeneratedFromTheRegistry) {
