@@ -386,11 +386,9 @@ int run_array(const CliOptions& cli, const partition::PartitionedGraph& pg,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions cli = parse(argc, argv);
-
+/// Everything after option parsing. A spec an engine, the array or the
+/// job grammar rejects throws std::invalid_argument; main reports it.
+int run(const CliOptions& cli) {
   // --- graph -------------------------------------------------------------
   graph::CsrGraph g = cli.graph_path.empty()
                           ? graph::make_dataset(cli.dataset, cli.scale)
@@ -458,12 +456,7 @@ int main(int argc, char** argv) {
     cfg.record_visits = false;
     cfg.sim_threads = cli.sim_threads;
     cfg.shard_audit = cli.shard_audit;
-    try {
-      return run_array(cli, pg, std::move(cfg));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
+    return run_array(cli, pg, std::move(cfg));
   }
 
   if (!cli.jobs_spec.empty()) {
@@ -475,12 +468,7 @@ int main(int argc, char** argv) {
     cfg.record_visits = false;
     cfg.sim_threads = cli.sim_threads;
     cfg.shard_audit = cli.shard_audit;
-    try {
-      return run_service(cli, pg, std::move(cfg));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
+    return run_service(cli, pg, std::move(cfg));
   }
 
   std::cout << "workload: " << spec.num_walks << " walks x " << spec.length << " hops"
@@ -612,4 +600,16 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions cli = parse(argc, argv);
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

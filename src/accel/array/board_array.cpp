@@ -86,9 +86,10 @@ BoardArray::BoardArray(const partition::PartitionedGraph& pg, SimulationConfig c
     downlinks_.emplace_back(acfg_.link_mb_per_s, 0);
   }
 
+  attachments_.reserve(acfg_.devices);
   boards_.reserve(acfg_.devices);
   for (std::uint32_t d = 0; d < acfg_.devices; ++d) {
-    ArrayAttachment att;
+    auto& att = *attachments_.emplace_back(std::make_unique<ArrayAttachment>());
     att.device = d;
     att.devices = acfg_.devices;
     att.shard_base = board_base(d);
@@ -110,8 +111,9 @@ BoardArray::BoardArray(const partition::PartitionedGraph& pg, SimulationConfig c
                 fabric_tally(std::move(ds));
               });
         };
-    boards_.push_back(std::make_unique<Board>(
-        pg, static_cast<const EngineOptions&>(cfg_), std::move(att)));
+    boards_.push_back(std::make_unique<FlashWalkerEngine>(
+        pg, static_cast<const EngineOptions&>(cfg_), &att,
+        FlashWalkerEngine::BuildAccess{}));
   }
 }
 
@@ -132,7 +134,7 @@ void BoardArray::fabric_forward(std::uint32_t src, std::uint32_t dst,
   const Tick down_done = downlinks_[dst].transfer(up_done, bytes);
   const Tick delay = (down_done - now) + hop_ns_;
   fabric().send(board_base(dst), delay, [this, dst, ws = std::move(walks)]() mutable {
-    boards_[dst]->engine().receive_forwarded(std::move(ws));
+    boards_[dst]->receive_forwarded(std::move(ws));
   });
 }
 
@@ -156,7 +158,7 @@ void BoardArray::finish_job_global(std::uint16_t j) {
   // completion tick; steps are only known post-run).
   for (std::uint32_t d = 0; d < acfg_.devices; ++d) {
     fabric().send(board_base(d), hop_ns_,
-                  [this, d, j, now] { boards_[d]->engine().array_finish_job(j, now); });
+                  [this, d, j, now] { boards_[d]->array_finish_job(j, now); });
   }
   if (job_defs_[j].on_complete) {
     service::JobStats stats;
@@ -177,7 +179,7 @@ void BoardArray::finish_run_global() {
   done_tick_ = fabric().now();
   for (std::uint32_t d = 0; d < acfg_.devices; ++d) {
     fabric().send(board_base(d), hop_ns_,
-                  [this, d] { boards_[d]->engine().array_finish_run(done_tick_); });
+                  [this, d] { boards_[d]->array_finish_run(done_tick_); });
   }
 }
 
@@ -185,7 +187,7 @@ ArrayResult BoardArray::run() {
   if (ran_) throw std::logic_error("BoardArray::run called twice");
   ran_ = true;
 
-  for (auto& b : boards_) b->engine().prime();
+  for (auto& b : boards_) b->prime();
   // Coordinator bootstrap, mirroring standalone semantics: a zero-walk job
   // completes at its arrival tick; an entirely empty workload at tick 0.
   for (std::uint16_t j = 0; j < job_defs_.size(); ++j) {
@@ -217,7 +219,7 @@ ArrayResult BoardArray::run() {
   }
 
   r.boards.reserve(acfg_.devices);
-  for (auto& b : boards_) r.boards.push_back(b->engine().finalize());
+  for (auto& b : boards_) r.boards.push_back(b->finalize());
 
   std::uint64_t out = 0;
   std::uint64_t in = 0;

@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "accel/array/array_config.hpp"
-#include "accel/array/board.hpp"
 #include "accel/builder.hpp"
+#include "accel/engine.hpp"
 #include "accel/service/job.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/resource.hpp"
@@ -90,7 +90,6 @@ class BoardArray {
   ArrayResult run();
 
   [[nodiscard]] std::uint32_t devices() const { return acfg_.devices; }
-  [[nodiscard]] const Board& board(std::uint32_t d) const { return *boards_[d]; }
 
  private:
   [[nodiscard]] sim::ShardId board_base(std::uint32_t d) const {
@@ -113,7 +112,12 @@ class BoardArray {
   std::uint64_t walk_bytes_ = 0;   ///< serialized bytes per forwarded walk
 
   std::unique_ptr<sim::ParallelSimulator> psim_;
-  std::vector<std::unique_ptr<Board>> boards_;
+  /// Per device: the attachment binding board d to the array, then its
+  /// engine. Each engine points at its attachment for its whole lifetime,
+  /// so attachments sit at stable addresses and are declared before the
+  /// engines (destroyed after them).
+  std::vector<std::unique_ptr<ArrayAttachment>> attachments_;
+  std::vector<std::unique_ptr<FlashWalkerEngine>> boards_;
   std::vector<sim::BandwidthLink> uplinks_;    // board → switch, per device
   std::vector<sim::BandwidthLink> downlinks_;  // switch → board, per device
 

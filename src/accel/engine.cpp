@@ -254,6 +254,23 @@ bool FlashWalkerEngine::walk_in_sg(const rw::Walk& w, const partition::Subgraph&
   return w.prewalked_sg == kInvalidSubgraph && w.cur >= sg.low_vid && w.cur <= sg.high_vid;
 }
 
+FlashWalkerEngine::LoadedSg* FlashWalkerEngine::next_queued(std::vector<LoadedSg>& slots,
+                                                            std::uint32_t& rr) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    LoadedSg& s = slots[(rr + i) % slots.size()];
+    if (!s.queue.empty()) {
+      rr = static_cast<std::uint32_t>((rr + i + 1) % slots.size());
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+bool FlashWalkerEngine::any_queued(const std::vector<LoadedSg>& slots) {
+  return std::any_of(slots.begin(), slots.end(),
+                     [](const LoadedSg& s) { return !s.queue.empty(); });
+}
+
 // ---------------------------------------------------------------------------
 // Parallel-DES shard facade
 // ---------------------------------------------------------------------------
@@ -876,14 +893,17 @@ std::uint32_t FlashWalkerEngine::board_route_walk(
 void FlashWalkerEngine::park_foreigner(PartitionId pid, const rw::Walk& w) {
   // Foreigner: buffered, flushed to flash when the buffer fills, and
   // revisited when its partition becomes current.
-  ShardSink& bsink = sinks_[kBoardShard];
   pending_[pid].push_back(w);
   --active_walks_;
-  ++bsink.metrics.foreigner_walks;
+  ++sinks_[kBoardShard].metrics.foreigner_walks;
+  charge_foreigner_buffer();
+}
+
+void FlashWalkerEngine::charge_foreigner_buffer() {
   board_.foreigner_buffered_bytes += wbytes();
   if (board_.foreigner_buffered_bytes >= opt_.accel.foreigner_buffer_bytes) {
     flush_walk_pages(board_.foreigner_buffered_bytes,
-                     bsink.metrics.foreigner_flush_pages);
+                     sinks_[kBoardShard].metrics.foreigner_flush_pages);
     board_.foreigner_buffered_bytes = 0;
   }
 }
@@ -953,14 +973,7 @@ void FlashWalkerEngine::receive_forwarded(std::vector<rw::Walk> walks) {
         w.prewalked_sg != kInvalidSubgraph ? w.prewalked_sg : pg_->subgraph_of(w.cur);
     const PartitionId pid = pg_->partition_of(sg);
     pending_[pid].push_back(w);
-    if (!partition_started_ || pid != current_partition_) {
-      board_.foreigner_buffered_bytes += wbytes();
-      if (board_.foreigner_buffered_bytes >= opt_.accel.foreigner_buffer_bytes) {
-        flush_walk_pages(board_.foreigner_buffered_bytes,
-                         bsink.metrics.foreigner_flush_pages);
-        board_.foreigner_buffered_bytes = 0;
-      }
-    }
+    if (!partition_started_ || pid != current_partition_) charge_foreigner_buffer();
   }
   inject_admitted_walks();
 }
@@ -972,10 +985,7 @@ void FlashWalkerEngine::receive_forwarded(std::vector<rw::Walk> walks) {
 void FlashWalkerEngine::kick_chip(ChipState& c) {
   if (sinks_[chip_shard(c)].done) return;
   report_drained_slots(c);
-  if (c.processing) return;
-  const bool has_walks = std::any_of(c.slots.begin(), c.slots.end(),
-                                     [](const LoadedSg& s) { return !s.queue.empty(); });
-  if (!has_walks) return;
+  if (c.processing || !any_queued(c.slots)) return;
   c.processing = true;
   sched_at(chip_shard(c), std::max(shard(chip_shard(c)).now(), c.unit.busy_until()),
            [this, &c] { process_chip(c); });
@@ -999,16 +1009,7 @@ void FlashWalkerEngine::report_drained_slots(ChipState& c) {
 
 void FlashWalkerEngine::process_chip(ChipState& c) {
   c.processing = false;
-  // Round-robin over slots with walks.
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < c.slots.size(); ++i) {
-    LoadedSg& s = c.slots[(c.rr + i) % c.slots.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      c.rr = static_cast<std::uint32_t>((c.rr + i + 1) % c.slots.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_queued(c.slots, c.rr);
   if (slot == nullptr) {
     report_drained_slots(c);
     return;
@@ -1023,13 +1024,9 @@ void FlashWalkerEngine::process_chip(ChipState& c) {
 
   Tick cost = 0;
   std::uint32_t processed = 0;
-  bool stalled = false;
-  std::vector<rw::Walk> completed = sink.walk_pool.acquire();
+  std::vector<rw::Walk> completed;
   while (processed < opt_.accel.batch_walks && !slot->queue.empty()) {
-    if (c.roving.size() >= roving_cap) {
-      stalled = true;  // roving buffer full: wait for the channel poll
-      break;
-    }
+    if (c.roving.size() >= roving_cap) break;  // full: wait for the channel poll
     rw::Walk w = slot->queue.front();
     slot->queue.pop_front();
     ++processed;
@@ -1067,10 +1064,8 @@ void FlashWalkerEngine::process_chip(ChipState& c) {
   if (processed == 0) {
     // Stalled before doing any work (roving buffer full): stay idle and let
     // the next channel poll drain the buffer and re-kick us.
-    sink.walk_pool.release(std::move(completed));
     return;
   }
-  (void)stalled;
   const Tick completion = c.unit.acquire(shard(chip_shard(c)).now(), cost);
   if (opt_.trace != nullptr && cost > 0) {
     opt_.trace->complete(c.trace_track, "update", completion - cost, completion,
@@ -1080,8 +1075,6 @@ void FlashWalkerEngine::process_chip(ChipState& c) {
     stage_board_op(chip_shard(c),
                    BoardOp{BoardOp::Kind::kCompleted, c.global, 0, completion,
                            std::move(completed)});
-  } else {
-    sink.walk_pool.release(std::move(completed));
   }
   c.processing = true;
   sched_at(chip_shard(c), completion, [this, &c] {
@@ -1150,8 +1143,6 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
   ShardSink& bsink = sinks_[kBoardShard];
   // Take the buffered walks now; new arrivals accumulate for the next load.
   std::vector<rw::Walk> walks = std::move(pwb_walks_[sg]);
-  // Fresh, not pooled: a recycled batch vector's capacity would stay pinned
-  // in the entry for the rest of the run.
   pwb_walks_[sg] = {};
   const std::uint64_t fl_count = fl_walks_[sg].size();
   walks.insert(walks.end(), fl_walks_[sg].begin(), fl_walks_[sg].end());
@@ -1246,8 +1237,8 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
     const std::uint64_t npark =
         std::min<std::uint64_t>(walks.size(),
                                 (walks.size() * faulty_pages + sg_pages - 1) / sg_pages);
-    std::vector<rw::Walk> parked = bsink.walk_pool.acquire();
-    std::vector<rw::Walk> ready = bsink.walk_pool.acquire();
+    std::vector<rw::Walk> parked;
+    std::vector<rw::Walk> ready;
     for (auto& w : walks) {
       if (parked.size() < npark && !w.parked) {
         w.parked = true;
@@ -1257,7 +1248,6 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
       }
     }
     walks.swap(ready);
-    bsink.walk_pool.release(std::move(ready));
     if (!parked.empty()) {
       bsink.metrics.parked_walks += parked.size();
       for (const auto& w : parked) ++jobs_[w.job].parked;
@@ -1272,7 +1262,6 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
         LoadedSg& s = cc.slots[slot_idx];
         if (s.sg == sg) {
           for (auto& w : ws) s.queue.push_back(w);
-          sinks_[chip_shard(cc)].walk_pool.release(std::move(ws));
           kick_chip(cc);
         } else {
           // The slot moved on while these walks waited out the retries;
@@ -1282,8 +1271,6 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
                                  shard(chip_shard(cc)).now(), std::move(ws)});
         }
       });
-    } else {
-      bsink.walk_pool.release(std::move(parked));
     }
   }
 
@@ -1302,9 +1289,7 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
       // Chip-side guider appends can land in a slot the board re-targeted
       // while this load was in flight; send the stale queue back through
       // the board (walk conservation — nothing is dropped).
-      ShardSink& sink = sinks_[chip_shard(cc)];
-      std::vector<rw::Walk> stale = sink.walk_pool.acquire();
-      stale.insert(stale.end(), s.queue.begin(), s.queue.end());
+      std::vector<rw::Walk> stale(s.queue.begin(), s.queue.end());
       s.queue.clear();
       stage_board_op(chip_shard(cc),
                      BoardOp{BoardOp::Kind::kGuide, 0, 0,
@@ -1313,7 +1298,6 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
     s.sg = sg;
     s.reported = false;
     for (auto& w : walks) s.queue.push_back(w);
-    sinks_[chip_shard(cc)].walk_pool.release(std::move(walks));
     kick_chip(cc);
   });
 }
@@ -1326,7 +1310,7 @@ void FlashWalkerEngine::poll_channel(ChannelState& ch) {
   const sim::ShardId cs = channel_shard(ch);
   ShardSink& sink = sinks_[cs];
   if (sink.done) return;
-  std::vector<rw::Walk> pulled = sink.walk_pool.acquire();
+  std::vector<rw::Walk> pulled;
   const auto chips_per_channel = opt_.ssd.topo.chips_per_channel;
   for (std::uint32_t k = 0; k < chips_per_channel; ++k) {
     ChipState& c = chips_[ch.index * chips_per_channel + k];
@@ -1341,8 +1325,6 @@ void FlashWalkerEngine::poll_channel(ChannelState& ch) {
     sched_at(cs, done, [this, &ch, walks = std::move(pulled)]() mutable {
       receive_roving(ch, std::move(walks));
     });
-  } else {
-    sink.walk_pool.release(std::move(pulled));
   }
   sched(cs, opt_.accel.roving_poll_interval, [this, &ch] { poll_channel(ch); });
 }
@@ -1354,7 +1336,7 @@ void FlashWalkerEngine::receive_roving(ChannelState& ch, std::vector<rw::Walk> w
   const std::uint32_t guiders = std::max<std::uint32_t>(1, opt_.accel.channel.guiders);
 
   Tick cost = 0;
-  std::vector<rw::Walk> to_board = sink.walk_pool.acquire();
+  std::vector<rw::Walk> to_board;
   for (auto& w : walks) {
     // Hot-subgraph check (HS) — dense-vertex walks always continue to the
     // board for pre-walking.
@@ -1376,18 +1358,7 @@ void FlashWalkerEngine::receive_roving(ChannelState& ch, std::vector<rw::Walk> w
       }
     }
     if (placed) continue;
-
-    // Approximate walk search (WQ): tag the walk with its subgraph range so
-    // the board searches one range instead of the whole table.
-    if (opt_.accel.features.walk_query) {
-      const auto r = mtab_->find_range(w.cur);
-      cost += static_cast<Tick>(r.steps) * gcycle / guiders;
-      ++sink.metrics.range_searches;
-      if (r.found()) {
-        w.range_tag = r.range_id;
-        ++sink.metrics.range_tagged_walks;
-      }
-    }
+    cost += tag_walk_range(w, sink);
     to_board.push_back(w);
   }
 
@@ -1400,18 +1371,26 @@ void FlashWalkerEngine::receive_roving(ChannelState& ch, std::vector<rw::Walk> w
     sink.metrics.to_board_walks += to_board.size();
     stage_board_op(cs, BoardOp{BoardOp::Kind::kGuide, 0, 0, completion,
                                std::move(to_board)});
-  } else {
-    sink.walk_pool.release(std::move(to_board));
   }
-  sink.walk_pool.release(std::move(walks));
   kick_channel(ch);
 }
 
+Tick FlashWalkerEngine::tag_walk_range(rw::Walk& w, ShardSink& sink) const {
+  // Approximate walk search (WQ): tag the walk with its subgraph range so
+  // the board searches one range instead of the whole table.
+  if (!opt_.accel.features.walk_query) return 0;
+  const auto r = mtab_->find_range(w.cur);
+  ++sink.metrics.range_searches;
+  if (r.found()) {
+    w.range_tag = r.range_id;
+    ++sink.metrics.range_tagged_walks;
+  }
+  return static_cast<Tick>(r.steps) * opt_.accel.channel.guider_cycle /
+         std::max<std::uint32_t>(1, opt_.accel.channel.guiders);
+}
+
 void FlashWalkerEngine::kick_channel(ChannelState& ch) {
-  if (ch.processing || sinks_[channel_shard(ch)].done) return;
-  const bool has_walks = std::any_of(ch.hot.begin(), ch.hot.end(),
-                                     [](const LoadedSg& s) { return !s.queue.empty(); });
-  if (!has_walks) return;
+  if (ch.processing || sinks_[channel_shard(ch)].done || !any_queued(ch.hot)) return;
   ch.processing = true;
   sched_at(channel_shard(ch),
            std::max(shard(channel_shard(ch)).now(), ch.unit.busy_until()),
@@ -1420,15 +1399,7 @@ void FlashWalkerEngine::kick_channel(ChannelState& ch) {
 
 void FlashWalkerEngine::process_channel(ChannelState& ch) {
   ch.processing = false;
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < ch.hot.size(); ++i) {
-    LoadedSg& s = ch.hot[(ch.rr + i) % ch.hot.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      ch.rr = static_cast<std::uint32_t>((ch.rr + i + 1) % ch.hot.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_queued(ch.hot, ch.rr);
   if (slot == nullptr) return;
 
   const sim::ShardId cs = channel_shard(ch);
@@ -1440,8 +1411,8 @@ void FlashWalkerEngine::process_channel(ChannelState& ch) {
   const std::uint32_t guiders = std::max<std::uint32_t>(1, opt_.accel.channel.guiders);
 
   Tick cost = 0;
-  std::vector<rw::Walk> to_board = sink.walk_pool.acquire();
-  std::vector<rw::Walk> completed = sink.walk_pool.acquire();
+  std::vector<rw::Walk> to_board;
+  std::vector<rw::Walk> completed;
   std::uint32_t processed = 0;
   while (processed < opt_.accel.batch_walks && !slot->queue.empty()) {
     rw::Walk w = slot->queue.front();
@@ -1470,15 +1441,7 @@ void FlashWalkerEngine::process_channel(ChannelState& ch) {
       }
     }
     if (!placed) {
-      if (opt_.accel.features.walk_query) {
-        const auto r = mtab_->find_range(w.cur);
-        cost += static_cast<Tick>(r.steps) * gcycle / guiders;
-        ++sink.metrics.range_searches;
-        if (r.found()) {
-          w.range_tag = r.range_id;
-          ++sink.metrics.range_tagged_walks;
-        }
-      }
+      cost += tag_walk_range(w, sink);
       to_board.push_back(w);
     }
   }
@@ -1491,15 +1454,11 @@ void FlashWalkerEngine::process_channel(ChannelState& ch) {
   if (!completed.empty()) {
     stage_board_op(cs, BoardOp{BoardOp::Kind::kCompleted, kBoardOrigin, 0,
                                completion, std::move(completed)});
-  } else {
-    sink.walk_pool.release(std::move(completed));
   }
   if (!to_board.empty()) {
     sink.metrics.to_board_walks += to_board.size();
     stage_board_op(cs, BoardOp{BoardOp::Kind::kGuide, 0, 0, completion,
                                std::move(to_board)});
-  } else {
-    sink.walk_pool.release(std::move(to_board));
   }
   ch.processing = true;
   sched_at(cs, completion, [this, &ch] {
@@ -1554,7 +1513,6 @@ void FlashWalkerEngine::apply_board_batch(std::vector<BoardOp> ops) {
 
 void FlashWalkerEngine::enqueue_board(std::vector<rw::Walk> walks) {
   for (auto& w : walks) board_.guide.push_back(w);
-  sinks_[kBoardShard].walk_pool.release(std::move(walks));
   kick_board_guider();
 }
 
@@ -1569,7 +1527,6 @@ void FlashWalkerEngine::board_receive_completed(std::uint32_t origin,
   for (const rw::Walk& w : walks) {
     complete_walk(w, bytes, opt_.accel.completed_buffer_bytes);
   }
-  sinks_[kBoardShard].walk_pool.release(std::move(walks));
   array_flush_completions();  // one fabric notification per completed batch
   maybe_switch_partition();
 }
@@ -1589,7 +1546,7 @@ void FlashWalkerEngine::process_board_guider() {
   const std::uint32_t guiders = std::max<std::uint32_t>(1, opt_.accel.board.guiders);
 
   std::uint64_t cycles = 0;
-  std::vector<std::uint32_t> touched_chips = chip_list_pool_.acquire();
+  std::vector<std::uint32_t> touched_chips;
   std::uint32_t processed = 0;
   // The board drains bigger batches: it has 128 guiders.
   const std::uint32_t batch = opt_.accel.batch_walks * 4;
@@ -1613,7 +1570,6 @@ void FlashWalkerEngine::process_board_guider() {
     // walks are already processing (they kick themselves); idle chips get
     // their loads granted from the board-side slot views.
     for (std::uint32_t g : touched) board_request_loads(g);
-    chip_list_pool_.release(std::move(touched));
     kick_board_guider();
     kick_board_updater();
     maybe_switch_partition();
@@ -1621,10 +1577,7 @@ void FlashWalkerEngine::process_board_guider() {
 }
 
 void FlashWalkerEngine::kick_board_updater() {
-  if (board_.updating || done_) return;
-  const bool has_walks = std::any_of(board_.hot.begin(), board_.hot.end(),
-                                     [](const LoadedSg& s) { return !s.queue.empty(); });
-  if (!has_walks) return;
+  if (board_.updating || done_ || !any_queued(board_.hot)) return;
   board_.updating = true;
   sched_at(kBoardShard, std::max(bnow(), board_.updater_unit.busy_until()),
            [this] { process_board_updater(); });
@@ -1632,15 +1585,7 @@ void FlashWalkerEngine::kick_board_updater() {
 
 void FlashWalkerEngine::process_board_updater() {
   board_.updating = false;
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < board_.hot.size(); ++i) {
-    LoadedSg& s = board_.hot[(board_.rr + i) % board_.hot.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      board_.rr = static_cast<std::uint32_t>((board_.rr + i + 1) % board_.hot.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_queued(board_.hot, board_.rr);
   if (slot == nullptr) return;
 
   ShardSink& bsink = sinks_[kBoardShard];
@@ -1649,7 +1594,7 @@ void FlashWalkerEngine::process_board_updater() {
   const std::uint32_t updaters = std::max<std::uint32_t>(1, opt_.accel.board.updaters);
 
   Tick cost = 0;
-  std::vector<rw::Walk> to_guide = bsink.walk_pool.acquire();
+  std::vector<rw::Walk> to_guide;
   std::uint32_t processed = 0;
   while (processed < opt_.accel.batch_walks && !slot->queue.empty()) {
     rw::Walk w = slot->queue.front();
@@ -1678,11 +1623,7 @@ void FlashWalkerEngine::process_board_updater() {
   board_.updating = true;
   sched_at(kBoardShard, completion, [this, walks = std::move(to_guide)]() mutable {
     board_.updating = false;
-    if (!walks.empty()) {
-      enqueue_board(std::move(walks));
-    } else {
-      sinks_[kBoardShard].walk_pool.release(std::move(walks));
-    }
+    if (!walks.empty()) enqueue_board(std::move(walks));
     kick_board_updater();
     maybe_switch_partition();
   });

@@ -48,7 +48,6 @@
 #include "accel/scheduler.hpp"
 #include "accel/service/job.hpp"
 #include "common/assoc_cache.hpp"
-#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -380,11 +379,13 @@ class FlashWalkerEngine {
     std::vector<rw::Walk> walks;
   };
 
-  /// Per-shard accumulation state: every counter or pool an event handler
-  /// mutates that is not owned by exactly one shard's model objects. One
-  /// instance per shard (board = 0, channel c = 1 + c), written only by
-  /// that shard's handlers, folded into the run totals by merge_sinks().
-  /// Cache-line aligned so neighbouring shards don't false-share.
+  /// Per-shard accumulation state: every counter, flag or staging buffer
+  /// an event handler mutates that is not owned by exactly one shard's
+  /// model objects. One instance per shard (board = 0, channel c = 1 + c),
+  /// written only by that shard's handlers, folded into the run totals by
+  /// merge_sinks(). Cache-line aligned so neighbouring shards don't
+  /// false-share. Walk batch vectors are plain locals: they are allocated
+  /// on one shard and freed on another, so a per-shard free list only fills.
   struct alignas(64) ShardSink {
     EngineMetrics metrics;
     /// Per-vertex visit counts (lazily sized on first hop, merged into the
@@ -393,7 +394,6 @@ class FlashWalkerEngine {
     std::vector<std::uint64_t> job_hops;  ///< per job, sized up front
     /// Per-job visit counts (explicit-jobs runs with record_visits only).
     std::vector<std::vector<std::uint64_t>> job_visits;
-    VectorPool<rw::Walk> walk_pool;
     bool done = false;  ///< quiesce flag, set by the board's broadcast
     /// Channel→board ops staged this window (channel shards only); always
     /// empty at window barriers — the flush hook drains it every window.
@@ -507,6 +507,8 @@ class FlashWalkerEngine {
   std::uint32_t board_route_walk(rw::Walk w, std::vector<std::uint32_t>& touched_chips);
   /// Foreigner placement: pending list + buffered-bytes accounting + flush.
   void park_foreigner(PartitionId pid, const rw::Walk& w);
+  /// Charge one walk to the board's foreigner buffer; flush it when full.
+  void charge_foreigner_buffer();
 
   // --- cross-device forwarding (array-attached boards only) ---------------
   /// True when partition `p`'s walks execute on this board. Always true for
@@ -539,6 +541,13 @@ class FlashWalkerEngine {
   void merge_sinks();
   [[nodiscard]] std::uint32_t chip_of_sg(SubgraphId sg) const;
   [[nodiscard]] bool walk_in_sg(const rw::Walk& w, const partition::Subgraph& sg) const;
+  /// Round-robin pick: the first slot with queued walks at or after `rr`
+  /// (advancing `rr` past it), or nullptr when every queue is empty.
+  static LoadedSg* next_queued(std::vector<LoadedSg>& slots, std::uint32_t& rr);
+  [[nodiscard]] static bool any_queued(const std::vector<LoadedSg>& slots);
+  /// Channel guider, WQ on: tag `w` with its mapping-table range and return
+  /// the search cost; 0 (untagged) when WQ is off.
+  Tick tag_walk_range(rw::Walk& w, ShardSink& sink) const;
   [[nodiscard]] std::uint64_t wbytes() const { return walk_bytes_; }
 
   /// Fold run totals (per-unit update counts, busy times, byte counters,
@@ -610,9 +619,6 @@ class FlashWalkerEngine {
   std::vector<ShardSink> sinks_;      ///< one per shard, single writer each
 
   static constexpr std::uint64_t kDramLineBytes = 64;
-  /// Free list for the per-batch chip lists the board guider emits
-  /// (board-shard only; walk batches use the per-shard sink pools).
-  VectorPool<std::uint32_t> chip_list_pool_;
   std::vector<std::vector<rw::Walk>> pwb_walks_;   // per subgraph (current partition)
   std::vector<std::uint32_t> pwb_wc_bytes_;        // write-combining residue per entry
   std::vector<std::vector<rw::Walk>> fl_walks_;    // per subgraph, resident in flash

@@ -1,6 +1,7 @@
 #include "common/options.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
@@ -87,12 +88,14 @@ std::uint64_t OptionSet::to_u64(const std::string& name, const std::string& valu
 
 double OptionSet::to_f64(const std::string& name, const std::string& value) {
   try {
+    // std::stod accepts "nan" and "inf", and NaN slips past every `<=`/`>=`
+    // range check downstream, so non-finite values are errors here.
     std::size_t pos = 0;
     const double r = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
+    if (pos != value.size() || !std::isfinite(r)) throw std::invalid_argument(value);
     return r;
   } catch (const std::exception&) {
-    throw std::invalid_argument(name + ": expected a number, got '" + value + "'");
+    throw std::invalid_argument(name + ": expected a finite number, got '" + value + "'");
   }
 }
 
@@ -136,7 +139,7 @@ void OptionSet::parse_or_exit(int argc, const char* const* argv,
   try {
     parse(argc, argv);
   } catch (const std::invalid_argument& e) {
-    std::cerr << argv[0] << ": " << e.what() << " (try --help)\n";
+    std::cerr << argv[0] << ": error: " << e.what() << " (try --help)\n";
     std::exit(2);
   }
 }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/options.hpp"
 #include "rw/model/registry.hpp"
 
 namespace fw::rw {
@@ -71,7 +72,7 @@ class SecondOrderModel : public FirstOrderModel {
       : FirstOrderModel(spec, "node2vec"),
         p_(spec.second_order.p),
         q_(spec.second_order.q) {
-    if (p_ <= 0.0 || q_ <= 0.0) {
+    if (!(p_ > 0.0 && q_ > 0.0)) {  // also refuses NaN
       throw std::invalid_argument("node2vec: p and q must be > 0");
     }
   }
@@ -230,11 +231,8 @@ class AutoregModel : public WalkModel {
 
 double model_f64(std::string_view key, const std::string& v) {
   try {
-    std::size_t pos = 0;
-    const double r = std::stod(v, &pos);
-    if (pos != v.size() || !std::isfinite(r)) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
+    return OptionSet::to_f64(std::string(key), v);
+  } catch (const std::invalid_argument&) {
     bad_value(key, "expected a finite number, got '" + v + "'");
   }
 }

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/assoc_cache.hpp"
@@ -352,6 +353,24 @@ TEST(OptionSet, ToU64RejectsMalformedInput) {
   EXPECT_THROW(OptionSet::to_u64("--x", ""), std::invalid_argument);
   EXPECT_THROW(OptionSet::to_u64("--x", "12abc"), std::invalid_argument);
   EXPECT_THROW(OptionSet::to_u64("--x", "abc"), std::invalid_argument);
+}
+
+TEST(OptionSet, ToF64RejectsNonFiniteAndMalformedInput) {
+  // std::stod accepts these spellings; NaN would pass every later range check.
+  EXPECT_DOUBLE_EQ(OptionSet::to_f64("--x", "0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(OptionSet::to_f64("--x", "-1e-3"), -1e-3);
+  for (const char* v :
+       {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999", "", "1.5x"}) {
+    EXPECT_THROW(OptionSet::to_f64("--x", v), std::invalid_argument) << v;
+  }
+  try {
+    (void)OptionSet::to_f64("--rber", "nan");
+    ADD_FAILURE() << "nan accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--rber: expected a finite number"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OptionSet, StillRejectsUnknownAndValuelessOptions) {
